@@ -237,17 +237,9 @@ class DistributedServer::Worker {
         obs::begin_span(sim, request.request_id, obs::SpanKind::kResponse,
                         lane);
       }
-      net::DatagramAddress reply;
-      reply.src_mac = server_.pf_->mac();
-      reply.dst_mac = datagram.eth.src;
-      reply.src_ip = server_.pf_->ip();
-      reply.dst_ip = datagram.ip.src;
-      reply.src_port = datagram.udp.dst_port;
-      reply.dst_port = datagram.udp.src_port;
-      auto& scratch = proto::serialization_scratch();
-      make_reject(request, static_cast<std::uint32_t>(ring().depth()))
-          .serialize_into(scratch);
-      server_.pf_->transmit(net::make_udp_datagram(reply, scratch));
+      server_.pf_->transmit(make_reject_frame(
+          server_.pf_->mac(), server_.pf_->ip(), datagram.udp.dst_port,
+          datagram, request, ring().depth()));
       return true;
     }
     ++admitted_;

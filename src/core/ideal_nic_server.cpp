@@ -207,22 +207,9 @@ IdealNicServer::IdealNicServer(sim::Simulator& sim,
       nic_(sim, nic_config(params)),
       asic_(sim, asic_config(params)),
       status_channel_(sim, params.cxl_one_way_latency),
-      queue_(config.queue_policy),
+      central_(config.queue_policy, config.overload, config.tenant),
       status_(config.worker_count, config.outstanding_per_worker),
-      running_(config.worker_count),
-      admission_(config.overload) {
-  queue_.set_shed_expired(config_.overload.enabled &&
-                          config_.overload.shedding_enabled);
-  if (config_.tenant.enabled) {
-    tenant_queue_ =
-        std::make_unique<tenant::TenantDispatchQueue>(config_.tenant);
-    tenant_queue_->set_shed_expired(config_.overload.enabled &&
-                                    config_.overload.shedding_enabled);
-    if (config_.overload.enabled) {
-      tenant_admission_ = std::make_unique<tenant::TenantAdmission>(
-          config_.tenant, config_.overload);
-    }
-  }
+      running_(config.worker_count) {
   if (config_.worker_count == 0) {
     throw std::invalid_argument("IdealNicServer: need >= 1 worker");
   }
@@ -263,11 +250,7 @@ void IdealNicServer::scheduler_handle(net::Packet packet) {
       // lazy drop at dispatch. A mark whose request was already dispatched
       // (or never arrived here) is consumed-or-harmless — ids are unique
       // per run.
-      if (tenants_on()) {
-        tenant_queue_->cancel(cancel->request_id);
-      } else {
-        queue_.cancel(cancel->request_id);
-      }
+      central_.cancel(cancel->request_id);
     } else {
       ++malformed_;
     }
@@ -279,45 +262,24 @@ void IdealNicServer::scheduler_handle(net::Packet packet) {
     return;
   }
   ++requests_received_;
-  if (config_.overload.enabled) {
-    // Informed admission (DESIGN §11) straight in the ASIC pipeline; the
-    // reject frame leaves without involving any host core. With tenants on
-    // (§13) the request is judged by its own tenant's gate and backlog.
-    std::size_t depth = central_depth();
-    bool admitted;
-    if (tenant_admission_ != nullptr) {
-      const std::size_t slot = tenant_queue_->index_of(request->tenant);
-      depth = tenant_queue_->depth_of(slot);
-      admitted = tenant_admission_->admit(slot, depth);
-    } else {
-      admitted = admission_.admit(depth);
+  // Informed admission (DESIGN §11) straight in the ASIC pipeline; the
+  // reject frame leaves without involving any host core. With tenants on
+  // (§13) the request is judged by its own tenant's gate and backlog.
+  const auto verdict = central_.admit(request->tenant, 0);
+  if (!verdict.admitted) {
+    if (sim_.span_enabled()) {
+      const sim::TimePoint rx = packet.rx_at();
+      obs::end_span_at(sim_, rx, request->request_id,
+                       obs::SpanKind::kClientWire, 0);
+      obs::begin_span_at(sim_, rx, request->request_id,
+                         obs::SpanKind::kNicRx, 0);
+      obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
+      obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
+                      0);
     }
-    if (!admitted) {
-      ++overload_rejected_;
-      if (sim_.span_enabled()) {
-        const sim::TimePoint rx = packet.rx_at();
-        obs::end_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kClientWire, 0);
-        obs::begin_span_at(sim_, rx, request->request_id,
-                           obs::SpanKind::kNicRx, 0);
-        obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
-        obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
-                        0);
-      }
-      net::DatagramAddress reply;
-      reply.src_mac = pf_->mac();
-      reply.dst_mac = datagram->eth.src;
-      reply.src_ip = pf_->ip();
-      reply.dst_ip = datagram->ip.src;
-      reply.src_port = config_.udp_port;
-      reply.dst_port = datagram->udp.src_port;
-      auto& scratch = proto::serialization_scratch();
-      make_reject(*request, static_cast<std::uint32_t>(depth))
-          .serialize_into(scratch);
-      pf_->transmit(net::make_udp_datagram(reply, scratch));
-      return;
-    }
-    ++overload_admitted_;
+    pf_->transmit(make_reject_frame(pf_->mac(), pf_->ip(), config_.udp_port,
+                                    *datagram, *request, verdict.depth));
+    return;
   }
   if (sim_.span_enabled()) {
     const sim::TimePoint rx = packet.rx_at();
@@ -329,7 +291,7 @@ void IdealNicServer::scheduler_handle(net::Packet packet) {
     obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue,
                     0);
   }
-  central_push_new(make_descriptor(*request, *datagram));
+  central_.push_new(make_descriptor(*request, *datagram), sim_.now());
   scheduler_kick();
 }
 
@@ -362,7 +324,7 @@ void IdealNicServer::scheduler_step() {
           case NoteKind::kPreempted:
             status_.note_retired(note->worker, sim_.now());
             if (info.request_id == note->request_id) info.running = false;
-            central_push_preempted(std::move(note->descriptor));
+            central_.push_preempted(std::move(note->descriptor), sim_.now());
             break;
         }
       }
@@ -370,15 +332,15 @@ void IdealNicServer::scheduler_step() {
     });
     return;
   }
-  if (!central_empty() && status_.pick_least_loaded().has_value()) {
+  if (!central_.empty() && status_.pick_least_loaded().has_value()) {
     asic_.run(params_.asic_dispatch_cost, [this]() {
       const auto worker = status_.pick_least_loaded();
       if (worker) {
         sim::Duration queue_delay = sim::Duration::zero();
-        auto descriptor = central_pop(queue_delay);
+        auto descriptor = central_.pop(sim_.now(), queue_delay);
         if (descriptor) {
           descriptor->queue_depth =
-              static_cast<std::uint32_t>(central_depth());
+              static_cast<std::uint32_t>(central_.depth());
           status_.note_sent(*worker, sim_.now());
           if (sim_.span_enabled()) {
             obs::end_span(sim_, descriptor->request_id,
@@ -410,7 +372,7 @@ void IdealNicServer::schedule_slice_check(std::size_t worker,
         info.preempt_in_flight) {
       return;
     }
-    if (central_empty()) {
+    if (central_.empty()) {
       // Informed: nothing waiting, keep running and re-check later.
       schedule_slice_check(worker, request_id);
       return;
@@ -427,53 +389,6 @@ void IdealNicServer::issue_preempt(std::size_t worker) {
           workers_[worker]->on_preempted(remaining);
         });
   });
-}
-
-// --------------------------------------------- central-queue facade (§13)
-
-bool IdealNicServer::central_empty() const {
-  return tenants_on() ? tenant_queue_->empty() : queue_.empty();
-}
-
-std::size_t IdealNicServer::central_depth() const {
-  return tenants_on() ? tenant_queue_->depth() : queue_.depth();
-}
-
-void IdealNicServer::central_push_new(proto::RequestDescriptor descriptor) {
-  if (tenants_on()) {
-    tenant_queue_->push_new(std::move(descriptor), sim_.now());
-  } else {
-    queue_.push_new(std::move(descriptor), sim_.now());
-  }
-}
-
-void IdealNicServer::central_push_preempted(
-    proto::RequestDescriptor descriptor) {
-  if (tenants_on()) {
-    tenant_queue_->push_preempted(std::move(descriptor), sim_.now());
-  } else {
-    queue_.push_preempted(std::move(descriptor), sim_.now());
-  }
-}
-
-std::optional<proto::RequestDescriptor> IdealNicServer::central_pop(
-    sim::Duration& queue_delay) {
-  if (tenants_on()) {
-    auto popped = tenant_queue_->pop(sim_.now());
-    if (!popped) return std::nullopt;
-    queue_delay = popped->queue_delay;
-    if (tenant_admission_ != nullptr) {
-      tenant_admission_->observe(popped->tenant_index, popped->queue_delay);
-    }
-    return std::move(popped->descriptor);
-  }
-  const bool measure = config_.overload.enabled || config_.load_feedback;
-  auto descriptor =
-      measure ? queue_.pop(sim_.now(), queue_delay) : queue_.pop();
-  if (descriptor && config_.overload.enabled) {
-    admission_.observe_queue_delay(queue_delay);
-  }
-  return descriptor;
 }
 
 void IdealNicServer::inject_ingress_loss(double probability,
@@ -504,8 +419,6 @@ void IdealNicServer::inject_worker_resume(std::uint32_t worker) {
 ServerStats IdealNicServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
   stats.requests_received = requests_received_;
-  stats.queue_max_depth =
-      tenants_on() ? tenant_queue_->max_depth() : queue_.stats().max_depth;
   for (const auto& worker : workers_) {
     stats.responses_sent += worker->responses_sent();
     stats.preemptions += worker->preemptions();
@@ -520,31 +433,15 @@ ServerStats IdealNicServer::stats(sim::Duration elapsed) const {
   }
   stats.drops =
       nic_.rx_unknown_mac_drops() + malformed_ + pf_->ring(0).stats().dropped;
-  stats.overload.admitted = overload_admitted_;
-  stats.overload.rejected = overload_rejected_;
-  stats.overload.shed_expired =
-      tenants_on() ? tenant_queue_->shed_total() : queue_.stats().shed_expired;
-  stats.cancelled =
-      tenants_on() ? tenant_queue_->cancelled_total() : queue_.stats().cancelled;
-  stats.tenants = tenant::assemble_stats(config_.tenant, tenant_queue_.get(),
-                                         tenant_admission_.get());
+  central_.add_to(stats);
   return stats;
 }
 
 ServerTelemetry IdealNicServer::telemetry() const {
   ServerTelemetry t;
-  t.queue_depth = central_depth();
+  central_.add_to(t);
   t.outstanding = status_.total_outstanding();
   t.drops = malformed_ + pf_->ring(0).stats().dropped;
-  t.rejected = overload_rejected_;
-  t.shed =
-      tenants_on() ? tenant_queue_->shed_total() : queue_.stats().shed_expired;
-  if (tenants_on()) {
-    t.tenant_depths.reserve(tenant_queue_->tenant_count());
-    for (std::size_t i = 0; i < tenant_queue_->tenant_count(); ++i) {
-      t.tenant_depths.push_back(tenant_queue_->depth_of(i));
-    }
-  }
   for (const auto& worker : workers_) {
     t.preemptions += worker->preemptions();
     t.worker_busy.push_back(worker->core().stats().busy);

@@ -20,11 +20,11 @@
 #include <optional>
 #include <vector>
 
+#include "core/central_queue.h"
 #include "core/core_status.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
-#include "core/task_queue.h"
 #include "fault/fault_surface.h"
 #include "hw/channel.h"
 #include "hw/cpu_core.h"
@@ -76,7 +76,6 @@ class IdealNicServer final : public Server, public fault::FaultSurface {
   ServerTelemetry telemetry() const override;
 
   const CoreStatusTable& core_status() const { return status_; }
-  const TaskQueue& task_queue() const { return queue_; }
 
   // --- fault::FaultSurface -------------------------------------------------
   fault::FaultSurface* fault_surface() override { return this; }
@@ -117,15 +116,6 @@ class IdealNicServer final : public Server, public fault::FaultSurface {
   void schedule_slice_check(std::size_t worker, std::uint64_t request_id);
   void issue_preempt(std::size_t worker);
 
-  // --- tenant-aware central-queue facade (DESIGN §13) ----------------------
-  bool tenants_on() const { return tenant_queue_ != nullptr; }
-  bool central_empty() const;
-  std::size_t central_depth() const;
-  void central_push_new(proto::RequestDescriptor descriptor);
-  void central_push_preempted(proto::RequestDescriptor descriptor);
-  std::optional<proto::RequestDescriptor> central_pop(
-      sim::Duration& queue_delay);
-
   sim::Simulator& sim_;
   net::EthernetSwitch& network_;
   ModelParams params_;
@@ -139,7 +129,7 @@ class IdealNicServer final : public Server, public fault::FaultSurface {
   hw::MessageChannel<StatusNote> status_channel_;
   bool pumping_ = false;
 
-  TaskQueue queue_;
+  CentralQueue central_;
   CoreStatusTable status_;
   std::vector<RunningInfo> running_;
 
@@ -147,15 +137,6 @@ class IdealNicServer final : public Server, public fault::FaultSurface {
 
   std::uint64_t requests_received_ = 0;
   std::uint64_t malformed_ = 0;
-
-  // --- overload control (inert when !config_.overload.enabled) -------------
-  overload::AdmissionController admission_;
-  std::uint64_t overload_admitted_ = 0;
-  std::uint64_t overload_rejected_ = 0;
-
-  // --- tenant layer (DESIGN §13; both null when !config_.tenant.enabled) ---
-  std::unique_ptr<tenant::TenantDispatchQueue> tenant_queue_;
-  std::unique_ptr<tenant::TenantAdmission> tenant_admission_;
 };
 
 }  // namespace nicsched::core

@@ -1,7 +1,8 @@
 #include "core/offload_server.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/span.h"
@@ -152,7 +153,7 @@ class ShinjukuOffloadServer::Worker {
       ack.serialize_into(proto::MessageType::kDispatchAck, scratch);
       vf_.transmit(net::make_udp_datagram(dispatcher_address(), scratch));
       if (!seen_assign_seqs_.insert(assignment->seq).second) {
-        ++server_.rel_.duplicates;
+        ++server_.reliable_.stats().duplicates;
         start_next();
         return;
       }
@@ -325,7 +326,7 @@ class ShinjukuOffloadServer::Worker {
       // resend bypasses core_.run on purpose: the NIC DMA engine does the
       // work, and routing it through the core would violate
       // run_preemptible's idle requirement.
-      ++server_.rel_.note_retransmits;
+      ++server_.reliable_.stats().note_retransmits;
       vf_.transmit(
           net::make_udp_datagram(dispatcher_address(), pending.payload));
       sim::Duration next =
@@ -401,12 +402,25 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
       d3_core_(sim, arm_core(params, "arm-d3-poll")),
       intake_channel_(sim, params.cacheline_ipc_latency),
       note_channel_(sim, params.cacheline_ipc_latency),
-      queue_(config.queue_policy),
+      central_(config.queue_policy, config.overload, config.tenant),
       status_(config.worker_count, config.outstanding_per_worker),
       host_nic_(sim, host_nic_config(params)),
-      admission_(config.overload),
       adaptive_k_(config.overload, config.worker_count,
-                  config.outstanding_per_worker) {
+                  config.outstanding_per_worker),
+      reliable_(sim, config.reliability, status_,
+                config.overload.enabled && config.overload.adaptive_k_enabled
+                    ? &adaptive_k_
+                    : nullptr,
+                "d1",
+                {[this](std::size_t worker,
+                        const proto::RequestDescriptor& descriptor,
+                        std::uint64_t seq) {
+                   send_assignment(Assignment{descriptor, worker, seq});
+                 },
+                 [this](proto::RequestDescriptor descriptor) {
+                   central_.push_preempted(std::move(descriptor), sim_.now());
+                 },
+                 [this]() { d1_kick(); }}) {
   if (config_.worker_count == 0) {
     throw std::invalid_argument("ShinjukuOffloadServer: need >= 1 worker");
   }
@@ -418,19 +432,6 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
     throw std::invalid_argument(
         "ShinjukuOffloadServer: sender_cores must be in [1, 5]");
   }
-  queue_.set_shed_expired(config_.overload.enabled &&
-                          config_.overload.shedding_enabled);
-  if (config_.tenant.enabled) {
-    tenant_queue_ =
-        std::make_unique<tenant::TenantDispatchQueue>(config_.tenant);
-    tenant_queue_->set_shed_expired(config_.overload.enabled &&
-                                    config_.overload.shedding_enabled);
-    if (config_.overload.enabled) {
-      tenant_admission_ = std::make_unique<tenant::TenantAdmission>(
-          config_.tenant, config_.overload);
-    }
-  }
-
   arm_net_ = &arm_nic_.add_interface("arm-net",
                                      net::MacAddress::from_index(kArmNetIndex),
                                      net::Ipv4Address::from_index(kArmNetIndex));
@@ -481,10 +482,9 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
         *host_nic_.interface_by_mac(net::MacAddress::from_index(
             kWorkerBaseIndex + static_cast<std::uint32_t>(i)))));
   }
-  consecutive_timeouts_.assign(config_.worker_count, 0);
   seen_note_seqs_.reserve(config_.worker_count);
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
-    seen_note_seqs_.emplace_back(&rel_arena_);
+    seen_note_seqs_.emplace_back(&note_arena_);
   }
 }
 
@@ -510,11 +510,7 @@ void ShinjukuOffloadServer::networker_handle(net::Packet packet) {
       // lazy drop at dispatch. A mark whose request was already dispatched
       // (or never arrived here) is consumed-or-harmless — ids are unique
       // per run.
-      if (tenants_on()) {
-        tenant_queue_->cancel(cancel->request_id);
-      } else {
-        queue_.cancel(cancel->request_id);
-      }
+      central_.cancel(cancel->request_id);
     } else {
       ++malformed_;
     }
@@ -531,51 +527,32 @@ void ShinjukuOffloadServer::networker_handle(net::Packet packet) {
                      "request " + std::to_string(request->request_id) +
                          " received"};
   });
-  if (config_.overload.enabled) {
-    // Informed admission (DESIGN §11): the networker consults D1's measured
-    // queueing delay (EWMA) and the instantaneous backlog before spending
-    // any dispatcher work, answering refusals straight from the NIC. With
-    // tenants on (DESIGN §13) the request is judged by its own tenant's
-    // gate and backlog, so a saturating neighbour cannot close the door.
-    std::size_t depth = central_depth() + intake_channel_.depth();
-    bool admitted;
-    if (tenant_admission_ != nullptr) {
-      const std::size_t slot = tenant_queue_->index_of(request->tenant);
-      depth = tenant_queue_->depth_of(slot);
-      admitted = tenant_admission_->admit(slot, depth);
-    } else {
-      admitted = admission_.admit(depth);
+  // Informed admission (DESIGN §11): the networker consults D1's measured
+  // queueing delay (EWMA) and the instantaneous backlog before spending
+  // any dispatcher work, answering refusals straight from the NIC. With
+  // tenants on (DESIGN §13) the request is judged by its own tenant's
+  // gate and backlog, so a saturating neighbour cannot close the door.
+  const auto verdict =
+      central_.admit(request->tenant, intake_channel_.depth());
+  if (!verdict.admitted) {
+    sim_.trace(sim::TraceCategory::kClient, [&] {
+      return std::pair{std::string("networker"),
+                       "reject " + std::to_string(request->request_id) +
+                           " depth " + std::to_string(verdict.depth)};
+    });
+    if (sim_.span_enabled()) {
+      const sim::TimePoint rx = packet.rx_at();
+      obs::end_span_at(sim_, rx, request->request_id,
+                       obs::SpanKind::kClientWire);
+      obs::begin_span_at(sim_, rx, request->request_id,
+                         obs::SpanKind::kNicRx);
+      obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx);
+      obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse);
     }
-    if (!admitted) {
-      ++overload_rejected_;
-      sim_.trace(sim::TraceCategory::kClient, [&] {
-        return std::pair{std::string("networker"),
-                         "reject " + std::to_string(request->request_id) +
-                             " depth " + std::to_string(depth)};
-      });
-      if (sim_.span_enabled()) {
-        const sim::TimePoint rx = packet.rx_at();
-        obs::end_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kClientWire);
-        obs::begin_span_at(sim_, rx, request->request_id,
-                           obs::SpanKind::kNicRx);
-        obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx);
-        obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse);
-      }
-      net::DatagramAddress reply;
-      reply.src_mac = arm_net_->mac();
-      reply.dst_mac = datagram->eth.src;
-      reply.src_ip = arm_net_->ip();
-      reply.dst_ip = datagram->ip.src;
-      reply.src_port = config_.udp_port;
-      reply.dst_port = datagram->udp.src_port;
-      auto& scratch = proto::serialization_scratch();
-      make_reject(*request, static_cast<std::uint32_t>(depth))
-          .serialize_into(scratch);
-      arm_net_->transmit(net::make_udp_datagram(reply, scratch));
-      return;
-    }
-    ++overload_admitted_;
+    arm_net_->transmit(make_reject_frame(arm_net_->mac(), arm_net_->ip(),
+                                         config_.udp_port, *datagram,
+                                         *request, verdict.depth));
+    return;
   }
   if (sim_.span_enabled()) {
     // The ARM NIC stamped the frame's arrival; attribute wire vs RX/parse.
@@ -637,22 +614,23 @@ void ShinjukuOffloadServer::d1_step() {
                              "requeue " +
                                  std::to_string(note->descriptor.request_id)};
           });
-          central_push_preempted(std::move(note->descriptor));
+          central_.push_preempted(std::move(note->descriptor), sim_.now());
         }
       }
       d1_step();
     });
     return;
   }
-  if (!central_empty() && status_.pick_least_loaded().has_value()) {
+  if (!central_.empty() && status_.pick_least_loaded().has_value()) {
     d1_core_.run(params_.dispatch_assign_cost, [this]() {
       const auto worker = status_.pick_least_loaded();
       if (worker) {
-        auto descriptor = central_pop();
+        sim::Duration queue_delay;
+        auto descriptor = central_.pop(sim_.now(), queue_delay);
         if (descriptor) {
           // Stamp the congestion feedback the response will carry (§5.2).
           descriptor->queue_depth =
-              static_cast<std::uint32_t>(central_depth());
+              static_cast<std::uint32_t>(central_.depth());
           status_.note_sent(*worker, sim_.now());
           sim_.trace(sim::TraceCategory::kDispatch, [&] {
             return std::pair{std::string("d1"),
@@ -672,11 +650,9 @@ void ShinjukuOffloadServer::d1_step() {
           std::uint64_t seq = 0;
           if (reliable()) {
             seq = next_seq_++;
-            track_dispatch(*descriptor, *worker, seq);
+            reliable_.track(*descriptor, *worker, seq);
           }
-          senders_[next_sender_].channel->send(
-              Assignment{std::move(*descriptor), *worker, seq});
-          next_sender_ = (next_sender_ + 1) % senders_.size();
+          send_assignment(Assignment{std::move(*descriptor), *worker, seq});
         }
       }
       d1_step();
@@ -686,7 +662,7 @@ void ShinjukuOffloadServer::d1_step() {
   if (!intake_channel_.empty()) {
     d1_core_.run(params_.dispatch_enqueue_cost, [this]() {
       auto descriptor = intake_channel_.pop();
-      if (descriptor) central_push_new(std::move(*descriptor));
+      if (descriptor) central_.push_new(std::move(*descriptor), sim_.now());
       d1_step();
     });
     return;
@@ -694,54 +670,9 @@ void ShinjukuOffloadServer::d1_step() {
   d1_pumping_ = false;
 }
 
-// --------------------------------------------- central-queue facade (§13)
-
-bool ShinjukuOffloadServer::central_empty() const {
-  return tenants_on() ? tenant_queue_->empty() : queue_.empty();
-}
-
-std::size_t ShinjukuOffloadServer::central_depth() const {
-  return tenants_on() ? tenant_queue_->depth() : queue_.depth();
-}
-
-void ShinjukuOffloadServer::central_push_new(
-    proto::RequestDescriptor descriptor) {
-  if (tenants_on()) {
-    tenant_queue_->push_new(std::move(descriptor), sim_.now());
-  } else {
-    queue_.push_new(std::move(descriptor), sim_.now());
-  }
-}
-
-void ShinjukuOffloadServer::central_push_preempted(
-    proto::RequestDescriptor descriptor) {
-  if (tenants_on()) {
-    tenant_queue_->push_preempted(std::move(descriptor), sim_.now());
-  } else {
-    queue_.push_preempted(std::move(descriptor), sim_.now());
-  }
-}
-
-std::optional<proto::RequestDescriptor> ShinjukuOffloadServer::central_pop() {
-  if (tenants_on()) {
-    auto popped = tenant_queue_->pop(sim_.now());
-    if (!popped) return std::nullopt;
-    if (tenant_admission_ != nullptr) {
-      // The pop measured how long the request queued in its own lane; feed
-      // the owning tenant's gate, not a shared EWMA.
-      tenant_admission_->observe(popped->tenant_index, popped->queue_delay);
-    }
-    return std::move(popped->descriptor);
-  }
-  sim::Duration queue_delay = sim::Duration::zero();
-  auto descriptor = config_.overload.enabled ? queue_.pop(sim_.now(), queue_delay)
-                                             : queue_.pop();
-  if (descriptor && config_.overload.enabled) {
-    // The pop measured how long the request actually queued; this is the
-    // signal the admission EWMA smooths.
-    admission_.observe_queue_delay(queue_delay);
-  }
-  return descriptor;
+void ShinjukuOffloadServer::send_assignment(Assignment assignment) {
+  senders_[next_sender_].channel->send(std::move(assignment));
+  next_sender_ = (next_sender_ + 1) % senders_.size();
 }
 
 void ShinjukuOffloadServer::d2_send(Assignment assignment) {
@@ -797,7 +728,8 @@ void ShinjukuOffloadServer::d3_handle(net::Packet packet) {
       const auto ack = proto::AckMessage::parse(
           datagram->payload, proto::MessageType::kDispatchAck);
       if (ack) {
-        handle_dispatch_ack(worker_id, *ack);
+        reliable_.note_alive(worker_id);
+        reliable_.ack(worker_id, ack->seq);
       } else {
         ++malformed_;
       }
@@ -838,119 +770,6 @@ void ShinjukuOffloadServer::d3_handle(net::Packet packet) {
 
 // -------------------------------------------- reliable dispatch (DESIGN §9)
 
-void ShinjukuOffloadServer::track_dispatch(
-    const proto::RequestDescriptor& descriptor, std::size_t worker,
-    std::uint64_t seq) {
-  // A request_id should never be dispatched while still tracked; if it ever
-  // is, retire the stale entry's timer so no orphan event fires.
-  auto stale = inflight_.find(descriptor.request_id);
-  if (stale != inflight_.end()) {
-    stale->second.timer.cancel();
-    seq_to_request_.erase(stale->second.seq);
-    inflight_.erase(stale);
-  }
-  Inflight entry;
-  entry.descriptor = descriptor;
-  entry.worker = worker;
-  entry.seq = seq;
-  seq_to_request_[seq] = descriptor.request_id;
-  auto [it, inserted] =
-      inflight_.emplace(descriptor.request_id, std::move(entry));
-  arm_retransmit(it->second);
-}
-
-void ShinjukuOffloadServer::arm_retransmit(Inflight& entry) {
-  sim::Duration rto = config_.reliability.rto;
-  for (std::uint32_t i = 1; i < entry.attempts; ++i) {
-    rto = rto * config_.reliability.backoff;
-  }
-  entry.timer.cancel();
-  entry.timer =
-      sim_.after(rto, [this, id = entry.descriptor.request_id,
-                       seq = entry.seq]() { on_retransmit_timeout(id, seq); });
-}
-
-void ShinjukuOffloadServer::on_retransmit_timeout(std::uint64_t request_id,
-                                                  std::uint64_t seq) {
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.seq != seq || it->second.acked) {
-    return;  // retired or re-dispatched since the timer was armed
-  }
-  Inflight& entry = it->second;
-  const std::size_t worker = entry.worker;
-  ++rel_.timeouts;
-  ++consecutive_timeouts_[worker];
-  if (consecutive_timeouts_[worker] >= config_.reliability.miss_threshold) {
-    // The worker has missed too many acks in a row: liveness verdict, which
-    // re-steers every in-flight request it holds (including this one).
-    declare_worker_dead(worker);
-    return;
-  }
-  if (entry.attempts >= config_.reliability.retry_budget) {
-    // Budget exhausted against a worker still believed alive: abandon. The
-    // slot is freed; a late completion note will un-count the abandonment.
-    seq_to_request_.erase(entry.seq);
-    inflight_.erase(it);
-    abandoned_ids_.insert(request_id);
-    ++rel_.abandoned;
-    sim_.trace(sim::TraceCategory::kDispatch, [&] {
-      return std::pair{std::string("d1"),
-                       "abandon " + std::to_string(request_id)};
-    });
-    status_.note_retired(worker, sim_.now());
-    d1_kick();
-    return;
-  }
-  ++entry.attempts;
-  ++rel_.retransmits;
-  senders_[next_sender_].channel->send(
-      Assignment{entry.descriptor, worker, entry.seq});
-  next_sender_ = (next_sender_ + 1) % senders_.size();
-  arm_retransmit(entry);
-}
-
-void ShinjukuOffloadServer::on_completion_timeout(std::uint64_t request_id,
-                                                  std::uint64_t seq) {
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.seq != seq || !it->second.acked) {
-    return;
-  }
-  // The worker accepted the assignment but never reported back: it died (or
-  // stalled far beyond the service-time budget) after the ack.
-  ++rel_.timeouts;
-  declare_worker_dead(it->second.worker);
-}
-
-void ShinjukuOffloadServer::handle_dispatch_ack(std::size_t worker,
-                                                const proto::AckMessage& ack) {
-  note_worker_alive(worker);
-  auto sit = seq_to_request_.find(ack.seq);
-  if (sit == seq_to_request_.end()) {
-    ++rel_.duplicates;  // ack for an entry already retired/abandoned
-    return;
-  }
-  const std::uint64_t request_id = sit->second;
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.seq != ack.seq ||
-      it->second.worker != worker) {
-    return;  // stale ack from a worker the request was re-steered off
-  }
-  Inflight& entry = it->second;
-  if (entry.acked) {
-    ++rel_.duplicates;
-    return;
-  }
-  entry.acked = true;
-  // Acceptance is not completion: swap the retransmit timer for a watchdog
-  // that catches a worker dying *after* it acked.
-  entry.timer.cancel();
-  entry.timer =
-      sim_.after(config_.reliability.completion_timeout,
-                 [this, request_id, seq = ack.seq]() {
-                   on_completion_timeout(request_id, seq);
-                 });
-}
-
 void ShinjukuOffloadServer::handle_sequenced_note(std::size_t worker,
                                                   proto::SequencedNote note) {
   // Ack immediately — even duplicates — so the worker stops resending.
@@ -970,86 +789,19 @@ void ShinjukuOffloadServer::handle_sequenced_note(std::size_t worker,
   ack.serialize_into(proto::MessageType::kNoteAck, scratch);
   arm_disp_->transmit(net::make_udp_datagram(address, scratch));
 
-  note_worker_alive(worker);
+  reliable_.note_alive(worker);
   if (!seen_note_seqs_[worker].insert(note.seq).second) {
-    ++rel_.duplicates;
+    ++reliable_.stats().duplicates;
     return;
   }
-  const std::uint64_t request_id = note.descriptor.request_id;
-  if (abandoned_ids_.contains(request_id)) {
-    if (!note.preempted) {
-      // The "abandoned" request ran to completion after all (its assignment
-      // arrived but every ack was lost); the client did get a response.
-      abandoned_ids_.erase(request_id);
-      --rel_.abandoned;
-    }
-    // A preemption note for an abandoned request is dropped: the request
-    // stays accounted as abandoned and is never resumed.
+  if (!reliable_.retire(worker, note.descriptor.request_id,
+                        !note.preempted)) {
     return;
   }
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.worker != worker) {
-    // Stale note from a worker the request was re-steered off; the dead
-    // worker's slot was already freed when it was declared dead.
-    ++rel_.duplicates;
-    return;
-  }
-  it->second.timer.cancel();
-  seq_to_request_.erase(it->second.seq);
-  inflight_.erase(it);
   Note out{worker, note.preempted, std::move(note.descriptor)};
   out.has_sojourn = note.has_sojourn;
   out.sojourn_ps = note.sojourn_ps;
   note_channel_.send(std::move(out));
-}
-
-void ShinjukuOffloadServer::declare_worker_dead(std::size_t worker) {
-  if (!status_.entry(worker).healthy) return;
-  status_.set_healthy(worker, false);
-  ++rel_.worker_deaths;
-  consecutive_timeouts_[worker] = 0;
-  if (config_.overload.enabled && config_.overload.adaptive_k_enabled) {
-    // Forget the dead worker's sojourn history; it restarts from full K so
-    // the re-steer path and the governor compose cleanly.
-    status_.set_capacity(worker,
-                         static_cast<std::uint32_t>(adaptive_k_.reset(worker)));
-  }
-  sim_.trace(sim::TraceCategory::kDispatch, [&] {
-    return std::pair{std::string("d1"),
-                     "worker" + std::to_string(worker) + " declared dead"};
-  });
-  // Re-steer everything the dead worker holds back through the centralized
-  // queue; sorted so replay order never depends on hash-table layout.
-  std::vector<std::uint64_t> ids;
-  for (const auto& [id, entry] : inflight_) {
-    if (entry.worker == worker) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint64_t id : ids) {
-    auto it = inflight_.find(id);
-    Inflight& entry = it->second;
-    entry.timer.cancel();
-    seq_to_request_.erase(entry.seq);
-    proto::RequestDescriptor descriptor = std::move(entry.descriptor);
-    inflight_.erase(it);
-    status_.note_retired(worker, sim_.now());
-    ++rel_.redispatched;
-    central_push_preempted(std::move(descriptor));
-  }
-  d1_kick();
-}
-
-void ShinjukuOffloadServer::note_worker_alive(std::size_t worker) {
-  consecutive_timeouts_[worker] = 0;
-  if (!status_.entry(worker).healthy) {
-    status_.set_healthy(worker, true);
-    ++rel_.revivals;
-    if (config_.overload.enabled && config_.overload.adaptive_k_enabled) {
-      status_.set_capacity(
-          worker, static_cast<std::uint32_t>(adaptive_k_.reset(worker)));
-    }
-    d1_kick();
-  }
 }
 
 // ----------------------------------------------------- fault::FaultSurface
@@ -1090,8 +842,6 @@ void ShinjukuOffloadServer::inject_worker_resume(std::uint32_t worker) {
 ServerStats ShinjukuOffloadServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
   stats.requests_received = requests_received_;
-  stats.queue_max_depth =
-      tenants_on() ? tenant_queue_->max_depth() : queue_.stats().max_depth;
   for (const auto& worker : workers_) {
     stats.responses_sent += worker->responses_sent();
     stats.preemptions += worker->preemptions();
@@ -1115,23 +865,17 @@ ServerStats ShinjukuOffloadServer::stats(sim::Duration elapsed) const {
         kWorkerBaseIndex + static_cast<std::uint32_t>(i)));
     stats.drops += vf->ring(0).stats().dropped;
   }
-  stats.reliability = rel_;
-  stats.overload.admitted = overload_admitted_;
-  stats.overload.rejected = overload_rejected_;
-  stats.overload.shed_expired =
-      tenants_on() ? tenant_queue_->shed_total() : queue_.stats().shed_expired;
-  stats.cancelled =
-      tenants_on() ? tenant_queue_->cancelled_total() : queue_.stats().cancelled;
+  stats.reliability = reliable_.stats();
+  central_.add_to(stats);
   stats.overload.k_shrinks = adaptive_k_.shrinks();
   stats.overload.k_restores = adaptive_k_.restores();
-  stats.tenants = tenant::assemble_stats(config_.tenant, tenant_queue_.get(),
-                                         tenant_admission_.get());
   return stats;
 }
 
 ServerTelemetry ShinjukuOffloadServer::telemetry() const {
   ServerTelemetry t;
-  t.queue_depth = central_depth() + intake_channel_.depth();
+  central_.add_to(t);
+  t.queue_depth += intake_channel_.depth();
   t.outstanding = status_.total_outstanding();
   // Every ring that can overflow feeds the live drop counter, mirroring
   // what stats() aggregates; a VF overflow silently corrupting the
@@ -1143,17 +887,9 @@ ServerTelemetry ShinjukuOffloadServer::telemetry() const {
         kWorkerBaseIndex + static_cast<std::uint32_t>(i)));
     t.drops += vf->ring(0).stats().dropped;
   }
-  t.retransmits = rel_.retransmits + rel_.note_retransmits;
-  t.abandoned = rel_.abandoned;
-  t.rejected = overload_rejected_;
-  t.shed =
-      tenants_on() ? tenant_queue_->shed_total() : queue_.stats().shed_expired;
-  if (tenants_on()) {
-    t.tenant_depths.reserve(tenant_queue_->tenant_count());
-    for (std::size_t i = 0; i < tenant_queue_->tenant_count(); ++i) {
-      t.tenant_depths.push_back(tenant_queue_->depth_of(i));
-    }
-  }
+  const ReliabilityStats& rel = reliable_.stats();
+  t.retransmits = rel.retransmits + rel.note_retransmits;
+  t.abandoned = rel.abandoned;
   t.worker_busy.reserve(workers_.size());
   t.worker_capacity.reserve(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {

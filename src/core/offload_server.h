@@ -23,16 +23,16 @@
 #include <memory>
 #include <memory_resource>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "core/central_queue.h"
 #include "core/core_status.h"
 #include "fault/fault_surface.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
+#include "core/reliable_dispatch.h"
 #include "core/server.h"
-#include "core/task_queue.h"
 #include "hw/apic_timer.h"
 #include "hw/channel.h"
 #include "hw/cpu_core.h"
@@ -111,7 +111,6 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
 
   /// Dispatcher-believed worker status (for the feedback-staleness example).
   const CoreStatusTable& core_status() const { return status_; }
-  const TaskQueue& task_queue() const { return queue_; }
 
   // --- fault::FaultSurface -------------------------------------------------
   fault::FaultSurface* fault_surface() override { return this; }
@@ -150,36 +149,10 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
   void d2_send(Assignment assignment);
   void d3_handle(net::Packet packet);
 
-  // --- tenant layer (DESIGN §13); the central-queue facade ----------------
-  // With tenants on, the TenantDispatchQueue plays the TaskQueue role; these
-  // route each central-queue touch to whichever queue is live.
-  bool tenants_on() const { return tenant_queue_ != nullptr; }
-  bool central_empty() const;
-  std::size_t central_depth() const;
-  void central_push_new(proto::RequestDescriptor descriptor);
-  void central_push_preempted(proto::RequestDescriptor descriptor);
-  std::optional<proto::RequestDescriptor> central_pop();
-
-  // --- reliable dispatch (DESIGN §9); all no-ops when !reliable() ----------
+  /// Hands an assignment to the next D2 sender core, round-robin.
+  void send_assignment(Assignment assignment);
   bool reliable() const { return config_.reliability.enabled; }
-  /// One dispatched-but-not-yet-retired request the dispatcher tracks.
-  struct Inflight {
-    proto::RequestDescriptor descriptor;
-    std::size_t worker = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t attempts = 1;
-    bool acked = false;
-    sim::EventHandle timer;  // retransmit timer, then completion timeout
-  };
-  void track_dispatch(const proto::RequestDescriptor& descriptor,
-                      std::size_t worker, std::uint64_t seq);
-  void arm_retransmit(Inflight& entry);
-  void on_retransmit_timeout(std::uint64_t request_id, std::uint64_t seq);
-  void on_completion_timeout(std::uint64_t request_id, std::uint64_t seq);
-  void handle_dispatch_ack(std::size_t worker, const proto::AckMessage& ack);
   void handle_sequenced_note(std::size_t worker, proto::SequencedNote note);
-  void declare_worker_dead(std::size_t worker);
-  void note_worker_alive(std::size_t worker);
 
   sim::Simulator& sim_;
   net::EthernetSwitch& network_;
@@ -208,7 +181,7 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
   std::size_t next_sender_ = 0;
   bool d1_pumping_ = false;
 
-  TaskQueue queue_;
+  CentralQueue central_;
   CoreStatusTable status_;
 
   // --- host side -----------------------------------------------------------
@@ -221,32 +194,14 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
   std::uint64_t malformed_ = 0;
 
   // --- overload control (DESIGN §11; inert when !config_.overload.enabled) -
-  overload::AdmissionController admission_;
   overload::AdaptiveKController adaptive_k_;
-  std::uint64_t overload_admitted_ = 0;
-  std::uint64_t overload_rejected_ = 0;
 
-  // --- tenant layer (DESIGN §13; both null when !config_.tenant.enabled) ---
-  std::unique_ptr<tenant::TenantDispatchQueue> tenant_queue_;
-  std::unique_ptr<tenant::TenantAdmission> tenant_admission_;
-
-  // --- reliable-dispatch state (empty/idle when !reliable()) ---------------
-  // Per-request bookkeeping nodes churn once per tracked request; the arena's
-  // exact-size freelists recycle them so the reliable steady state stays off
-  // the global allocator (sim_alloc_test pins this). Declared before the
-  // containers it feeds: members destroy in reverse order, so the maps
-  // release their nodes while the arena still exists.
-  sim::ArenaResource rel_arena_;
-  std::pmr::unordered_map<std::uint64_t, Inflight> inflight_{&rel_arena_};
-  std::pmr::unordered_map<std::uint64_t, std::uint64_t> seq_to_request_{
-      &rel_arena_};
-  std::uint64_t next_seq_ = 1;
-  /// Requests whose retry budget ran out; a late completion note for one of
-  /// these decrements `rel_.abandoned` again so conservation stays exact.
-  std::pmr::unordered_set<std::uint64_t> abandoned_ids_{&rel_arena_};
-  std::vector<std::uint32_t> consecutive_timeouts_;     // per worker
-  std::vector<std::pmr::unordered_set<std::uint64_t>> seen_note_seqs_;  // per worker
-  ReliabilityStats rel_;
+  // --- reliable dispatch (DESIGN §9; idle when !reliable()) ----------------
+  ReliableDispatch reliable_;
+  std::uint64_t next_seq_ = 1;  // 0 selects the unreliable legacy frame
+  /// Per-worker dedupe of sequenced notes, pooled like the dispatch table.
+  sim::ArenaResource note_arena_;
+  std::vector<std::pmr::unordered_set<std::uint64_t>> seen_note_seqs_;
 };
 
 }  // namespace nicsched::core

@@ -1,8 +1,8 @@
 #include "core/rain_server.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/span.h"
@@ -140,7 +140,7 @@ class RainServer::Worker {
     if (server_.reliable() && !seen_seqs_.insert(entry->seq).second) {
       // A re-posted write for an entry already picked up: the RTO fired
       // while this worker was stalled. Suppress the duplicate.
-      ++server_.rel_.duplicates;
+      ++server_.reliable_.stats().duplicates;
       start_next();
       return;
     }
@@ -275,25 +275,25 @@ RainServer::RainServer(sim::Simulator& sim, net::EthernetSwitch& network,
       nic_(sim, nic_config(params)),
       asic_(sim, asic_config(params)),
       cq_(sim, rdma_config(params)),
-      queue_(config.queue_policy),
+      central_(config.queue_policy, config.overload, config.tenant),
       status_(config.worker_count, config.outstanding_per_worker),
       running_(config.worker_count),
-      admission_(config.overload),
       adaptive_k_(config.overload, config.worker_count,
                   config.outstanding_per_worker),
-      consecutive_timeouts_(config.worker_count, 0) {
-  queue_.set_shed_expired(config_.overload.enabled &&
-                          config_.overload.shedding_enabled);
-  if (config_.tenant.enabled) {
-    tenant_queue_ =
-        std::make_unique<tenant::TenantDispatchQueue>(config_.tenant);
-    tenant_queue_->set_shed_expired(config_.overload.enabled &&
-                                    config_.overload.shedding_enabled);
-    if (config_.overload.enabled) {
-      tenant_admission_ = std::make_unique<tenant::TenantAdmission>(
-          config_.tenant, config_.overload);
-    }
-  }
+      reliable_(sim, config.reliability, status_,
+                config.overload.enabled && config.overload.adaptive_k_enabled
+                    ? &adaptive_k_
+                    : nullptr,
+                "rain",
+                {[this](std::size_t worker,
+                        const proto::RequestDescriptor& descriptor,
+                        std::uint64_t seq) {
+                   post_run_queue_entry(worker, descriptor, seq);
+                 },
+                 [this](proto::RequestDescriptor descriptor) {
+                   central_.push_preempted(std::move(descriptor), sim_.now());
+                 },
+                 [this]() { scheduler_kick(); }}) {
   if (config_.worker_count == 0) {
     throw std::invalid_argument("RainServer: need >= 1 worker");
   }
@@ -334,11 +334,7 @@ void RainServer::scheduler_handle(net::Packet packet) {
       // lazy drop at dispatch. A mark whose request was already dispatched
       // (or never arrived here) is consumed-or-harmless — ids are unique
       // per run.
-      if (tenants_on()) {
-        tenant_queue_->cancel(cancel->request_id);
-      } else {
-        queue_.cancel(cancel->request_id);
-      }
+      central_.cancel(cancel->request_id);
     } else {
       ++malformed_;
     }
@@ -355,45 +351,24 @@ void RainServer::scheduler_handle(net::Packet packet) {
                      "request " + std::to_string(request->request_id) +
                          " received"};
   });
-  if (config_.overload.enabled) {
-    // Informed admission (DESIGN §11) in the ASIC pipeline, exactly as on
-    // the ideal NIC; with tenants on (§13) the request is judged by its own
-    // tenant's gate and backlog.
-    std::size_t depth = central_depth();
-    bool admitted;
-    if (tenant_admission_ != nullptr) {
-      const std::size_t slot = tenant_queue_->index_of(request->tenant);
-      depth = tenant_queue_->depth_of(slot);
-      admitted = tenant_admission_->admit(slot, depth);
-    } else {
-      admitted = admission_.admit(depth);
+  // Informed admission (DESIGN §11) in the ASIC pipeline, exactly as on
+  // the ideal NIC; with tenants on (§13) the request is judged by its own
+  // tenant's gate and backlog.
+  const auto verdict = central_.admit(request->tenant, 0);
+  if (!verdict.admitted) {
+    if (sim_.span_enabled()) {
+      const sim::TimePoint rx = packet.rx_at();
+      obs::end_span_at(sim_, rx, request->request_id,
+                       obs::SpanKind::kClientWire, 0);
+      obs::begin_span_at(sim_, rx, request->request_id,
+                         obs::SpanKind::kNicRx, 0);
+      obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
+      obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
+                      0);
     }
-    if (!admitted) {
-      ++overload_rejected_;
-      if (sim_.span_enabled()) {
-        const sim::TimePoint rx = packet.rx_at();
-        obs::end_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kClientWire, 0);
-        obs::begin_span_at(sim_, rx, request->request_id,
-                           obs::SpanKind::kNicRx, 0);
-        obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
-        obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
-                        0);
-      }
-      net::DatagramAddress reply;
-      reply.src_mac = pf_->mac();
-      reply.dst_mac = datagram->eth.src;
-      reply.src_ip = pf_->ip();
-      reply.dst_ip = datagram->ip.src;
-      reply.src_port = config_.udp_port;
-      reply.dst_port = datagram->udp.src_port;
-      auto& scratch = proto::serialization_scratch();
-      make_reject(*request, static_cast<std::uint32_t>(depth))
-          .serialize_into(scratch);
-      pf_->transmit(net::make_udp_datagram(reply, scratch));
-      return;
-    }
-    ++overload_admitted_;
+    pf_->transmit(make_reject_frame(pf_->mac(), pf_->ip(), config_.udp_port,
+                                    *datagram, *request, verdict.depth));
+    return;
   }
   if (sim_.span_enabled()) {
     const sim::TimePoint rx = packet.rx_at();
@@ -405,7 +380,7 @@ void RainServer::scheduler_handle(net::Packet packet) {
     obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue,
                     0);
   }
-  central_push_new(make_descriptor(*request, *datagram));
+  central_.push_new(make_descriptor(*request, *datagram), sim_.now());
   scheduler_kick();
 }
 
@@ -431,17 +406,17 @@ void RainServer::scheduler_step() {
     });
     return;
   }
-  if (!central_empty() && status_.pick_least_loaded().has_value()) {
+  if (!central_.empty() && status_.pick_least_loaded().has_value()) {
     // One decision plus one one-sided write: the ASIC builds the WQE and
     // rings the doorbell itself — no D2 frame-construction core.
     asic_.run(params_.asic_dispatch_cost + rdma_post_cost(params_), [this]() {
       const auto worker = status_.pick_least_loaded();
       if (worker) {
         sim::Duration queue_delay = sim::Duration::zero();
-        auto descriptor = central_pop(queue_delay);
+        auto descriptor = central_.pop(sim_.now(), queue_delay);
         if (descriptor) {
           descriptor->queue_depth =
-              static_cast<std::uint32_t>(central_depth());
+              static_cast<std::uint32_t>(central_.depth());
           status_.note_sent(*worker, sim_.now());
           sim_.trace(sim::TraceCategory::kDispatch, [&] {
             return std::pair{std::string("rain"),
@@ -462,7 +437,7 @@ void RainServer::scheduler_step() {
             workers_[*worker]->push_pending_sojourn(queue_delay);
           }
           const std::uint64_t seq = next_seq_++;
-          if (reliable()) track_dispatch(*descriptor, *worker, seq);
+          if (reliable()) reliable_.track(*descriptor, *worker, seq);
           post_run_queue_entry(*worker, *descriptor, seq);
         }
       }
@@ -479,7 +454,7 @@ void RainServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
     ++malformed_;
     return;
   }
-  if (reliable()) note_worker_alive(worker);
+  if (reliable()) reliable_.note_alive(worker);
   RunningInfo& info = running_[worker];
   switch (cqe.cq_kind) {
     case proto::RdmaCqKind::kStarted:
@@ -490,10 +465,14 @@ void RainServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
       if (config_.preemption_enabled) {
         schedule_slice_check(worker, cqe.descriptor.request_id);
       }
-      if (reliable()) handle_start_ack(worker, cqe.seq);
+      // The kStarted CQE plays the dispatch-ack role.
+      if (reliable()) reliable_.ack(worker, cqe.seq);
       break;
     case proto::RdmaCqKind::kCompleted:
-      if (reliable() && !retire_inflight(worker, cqe)) break;
+      if (reliable() &&
+          !reliable_.retire(worker, cqe.descriptor.request_id, true)) {
+        break;
+      }
       status_.note_retired(worker, sim_.now());
       if (info.request_id == cqe.descriptor.request_id) info.running = false;
       if (config_.overload.enabled && config_.overload.adaptive_k_enabled &&
@@ -503,10 +482,13 @@ void RainServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
       }
       break;
     case proto::RdmaCqKind::kPreempted:
-      if (reliable() && !retire_inflight(worker, cqe)) break;
+      if (reliable() &&
+          !reliable_.retire(worker, cqe.descriptor.request_id, false)) {
+        break;
+      }
       status_.note_retired(worker, sim_.now());
       if (info.request_id == cqe.descriptor.request_id) info.running = false;
-      central_push_preempted(cqe.descriptor);
+      central_.push_preempted(cqe.descriptor, sim_.now());
       break;
   }
 }
@@ -533,7 +515,7 @@ void RainServer::schedule_slice_check(std::size_t worker,
         info.preempt_in_flight) {
       return;
     }
-    if (central_empty()) {
+    if (central_.empty()) {
       // Informed: nothing waiting, keep running and re-check later.
       schedule_slice_check(worker, request_id);
       return;
@@ -552,52 +534,6 @@ void RainServer::issue_preempt(std::size_t worker) {
   });
 }
 
-// --------------------------------------------- central-queue facade (§13)
-
-bool RainServer::central_empty() const {
-  return tenants_on() ? tenant_queue_->empty() : queue_.empty();
-}
-
-std::size_t RainServer::central_depth() const {
-  return tenants_on() ? tenant_queue_->depth() : queue_.depth();
-}
-
-void RainServer::central_push_new(proto::RequestDescriptor descriptor) {
-  if (tenants_on()) {
-    tenant_queue_->push_new(std::move(descriptor), sim_.now());
-  } else {
-    queue_.push_new(std::move(descriptor), sim_.now());
-  }
-}
-
-void RainServer::central_push_preempted(proto::RequestDescriptor descriptor) {
-  if (tenants_on()) {
-    tenant_queue_->push_preempted(std::move(descriptor), sim_.now());
-  } else {
-    queue_.push_preempted(std::move(descriptor), sim_.now());
-  }
-}
-
-std::optional<proto::RequestDescriptor> RainServer::central_pop(
-    sim::Duration& queue_delay) {
-  if (tenants_on()) {
-    auto popped = tenant_queue_->pop(sim_.now());
-    if (!popped) return std::nullopt;
-    queue_delay = popped->queue_delay;
-    if (tenant_admission_ != nullptr) {
-      tenant_admission_->observe(popped->tenant_index, popped->queue_delay);
-    }
-    return std::move(popped->descriptor);
-  }
-  const bool measure = config_.overload.enabled || config_.load_feedback;
-  auto descriptor =
-      measure ? queue_.pop(sim_.now(), queue_delay) : queue_.pop();
-  if (descriptor && config_.overload.enabled) {
-    admission_.observe_queue_delay(queue_delay);
-  }
-  return descriptor;
-}
-
 void RainServer::post_run_queue_entry(
     std::size_t worker, const proto::RequestDescriptor& descriptor,
     std::uint64_t seq) {
@@ -607,192 +543,6 @@ void RainServer::post_run_queue_entry(
   auto& scratch = proto::serialization_scratch();
   entry.serialize_into(scratch);
   workers_[worker]->rq().post_write(scratch);
-}
-
-// ---------------------------------- reliable dispatch over doorbell/CQ (§9)
-
-void RainServer::track_dispatch(const proto::RequestDescriptor& descriptor,
-                                std::size_t worker, std::uint64_t seq) {
-  // A request_id should never be dispatched while still tracked; if it ever
-  // is, retire the stale entry's timer so no orphan event fires.
-  auto stale = inflight_.find(descriptor.request_id);
-  if (stale != inflight_.end()) {
-    stale->second.timer.cancel();
-    seq_to_request_.erase(stale->second.seq);
-    inflight_.erase(stale);
-  }
-  Inflight entry;
-  entry.descriptor = descriptor;
-  entry.worker = worker;
-  entry.seq = seq;
-  seq_to_request_[seq] = descriptor.request_id;
-  auto [it, inserted] =
-      inflight_.emplace(descriptor.request_id, std::move(entry));
-  arm_retransmit(it->second);
-}
-
-void RainServer::arm_retransmit(Inflight& entry) {
-  sim::Duration rto = config_.reliability.rto;
-  for (std::uint32_t i = 1; i < entry.attempts; ++i) {
-    rto = rto * config_.reliability.backoff;
-  }
-  entry.timer.cancel();
-  entry.timer =
-      sim_.after(rto, [this, id = entry.descriptor.request_id,
-                       seq = entry.seq]() { on_retransmit_timeout(id, seq); });
-}
-
-void RainServer::on_retransmit_timeout(std::uint64_t request_id,
-                                       std::uint64_t seq) {
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.seq != seq || it->second.acked) {
-    return;  // retired or re-dispatched since the timer was armed
-  }
-  Inflight& entry = it->second;
-  const std::size_t worker = entry.worker;
-  ++rel_.timeouts;
-  ++consecutive_timeouts_[worker];
-  if (consecutive_timeouts_[worker] >= config_.reliability.miss_threshold) {
-    // The channel is lossless, so a silent run-queue entry means the worker
-    // itself went dark: liveness verdict, which re-steers everything it
-    // holds (including this request).
-    declare_worker_dead(worker);
-    return;
-  }
-  if (entry.attempts >= config_.reliability.retry_budget) {
-    seq_to_request_.erase(entry.seq);
-    inflight_.erase(it);
-    abandoned_ids_.insert(request_id);
-    ++rel_.abandoned;
-    sim_.trace(sim::TraceCategory::kDispatch, [&] {
-      return std::pair{std::string("rain"),
-                       "abandon " + std::to_string(request_id)};
-    });
-    status_.note_retired(worker, sim_.now());
-    scheduler_kick();
-    return;
-  }
-  ++entry.attempts;
-  ++rel_.retransmits;
-  // Re-post the same sequenced write; if the first copy was merely slow to
-  // be picked up, the worker's seq dedup suppresses the duplicate.
-  post_run_queue_entry(worker, entry.descriptor, entry.seq);
-  arm_retransmit(entry);
-}
-
-void RainServer::on_completion_timeout(std::uint64_t request_id,
-                                       std::uint64_t seq) {
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.seq != seq || !it->second.acked) {
-    return;
-  }
-  // The worker posted kStarted but never a completion: it died (or stalled
-  // far beyond the service-time budget) mid-request.
-  ++rel_.timeouts;
-  declare_worker_dead(it->second.worker);
-}
-
-void RainServer::handle_start_ack(std::size_t worker, std::uint64_t seq) {
-  auto sit = seq_to_request_.find(seq);
-  if (sit == seq_to_request_.end()) {
-    ++rel_.duplicates;  // CQE for an entry already retired/abandoned
-    return;
-  }
-  const std::uint64_t request_id = sit->second;
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.seq != seq ||
-      it->second.worker != worker) {
-    return;  // stale CQE from a worker the request was re-steered off
-  }
-  Inflight& entry = it->second;
-  if (entry.acked) {
-    ++rel_.duplicates;
-    return;
-  }
-  entry.acked = true;
-  // Pickup is not completion: swap the retransmit timer for a watchdog that
-  // catches a worker dying *after* its kStarted CQE.
-  entry.timer.cancel();
-  entry.timer = sim_.after(config_.reliability.completion_timeout,
-                           [this, request_id, seq]() {
-                             on_completion_timeout(request_id, seq);
-                           });
-}
-
-bool RainServer::retire_inflight(std::size_t worker,
-                                 const proto::RdmaCqEntry& cqe) {
-  const std::uint64_t request_id = cqe.descriptor.request_id;
-  if (abandoned_ids_.contains(request_id)) {
-    if (cqe.cq_kind == proto::RdmaCqKind::kCompleted) {
-      // The "abandoned" request ran to completion after all; the client did
-      // get a response, so un-count the abandonment.
-      abandoned_ids_.erase(request_id);
-      --rel_.abandoned;
-    }
-    // A preemption CQE for an abandoned request is dropped: it stays
-    // accounted as abandoned and is never resumed.
-    return false;
-  }
-  auto it = inflight_.find(request_id);
-  if (it == inflight_.end() || it->second.worker != worker) {
-    // Stale CQE from a worker the request was re-steered off; the dead
-    // worker's slot was already freed when it was declared dead.
-    ++rel_.duplicates;
-    return false;
-  }
-  it->second.timer.cancel();
-  seq_to_request_.erase(it->second.seq);
-  inflight_.erase(it);
-  return true;
-}
-
-void RainServer::declare_worker_dead(std::size_t worker) {
-  if (!status_.entry(worker).healthy) return;
-  status_.set_healthy(worker, false);
-  ++rel_.worker_deaths;
-  consecutive_timeouts_[worker] = 0;
-  if (config_.overload.enabled && config_.overload.adaptive_k_enabled) {
-    // Forget the dead worker's sojourn history; it restarts from full K so
-    // the re-steer path and the governor compose cleanly.
-    status_.set_capacity(worker,
-                         static_cast<std::uint32_t>(adaptive_k_.reset(worker)));
-  }
-  sim_.trace(sim::TraceCategory::kDispatch, [&] {
-    return std::pair{std::string("rain"),
-                     "worker" + std::to_string(worker) + " declared dead"};
-  });
-  // Re-steer everything the dead worker holds back through the centralized
-  // queue; sorted so replay order never depends on hash-table layout.
-  std::vector<std::uint64_t> ids;
-  for (const auto& [id, entry] : inflight_) {
-    if (entry.worker == worker) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint64_t id : ids) {
-    auto it = inflight_.find(id);
-    Inflight& entry = it->second;
-    entry.timer.cancel();
-    seq_to_request_.erase(entry.seq);
-    proto::RequestDescriptor descriptor = std::move(entry.descriptor);
-    inflight_.erase(it);
-    status_.note_retired(worker, sim_.now());
-    ++rel_.redispatched;
-    central_push_preempted(std::move(descriptor));
-  }
-  scheduler_kick();
-}
-
-void RainServer::note_worker_alive(std::size_t worker) {
-  consecutive_timeouts_[worker] = 0;
-  if (!status_.entry(worker).healthy) {
-    status_.set_healthy(worker, true);
-    ++rel_.revivals;
-    if (config_.overload.enabled && config_.overload.adaptive_k_enabled) {
-      status_.set_capacity(
-          worker, static_cast<std::uint32_t>(adaptive_k_.reset(worker)));
-    }
-    scheduler_kick();
-  }
 }
 
 // ----------------------------------------------------- fault::FaultSurface
@@ -810,7 +560,7 @@ void RainServer::inject_dispatch_loss(double probability,
   // the injection doesn't silently vanish. Restores (probability <= 0, the
   // close of a loss window) are not attempts and stay silent.
   if (probability <= 0.0) return;
-  ++rel_.loss_injections_ignored;
+  ++reliable_.stats().loss_injections_ignored;
   if (!warned_dispatch_loss_) {
     warned_dispatch_loss_ = true;
     std::fprintf(stderr,
@@ -839,8 +589,6 @@ void RainServer::inject_worker_resume(std::uint32_t worker) {
 ServerStats RainServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
   stats.requests_received = requests_received_;
-  stats.queue_max_depth =
-      tenants_on() ? tenant_queue_->max_depth() : queue_.stats().max_depth;
   for (const auto& worker : workers_) {
     stats.responses_sent += worker->responses_sent();
     stats.preemptions += worker->preemptions();
@@ -855,36 +603,20 @@ ServerStats RainServer::stats(sim::Duration elapsed) const {
   }
   stats.drops =
       nic_.rx_unknown_mac_drops() + malformed_ + pf_->ring(0).stats().dropped;
-  stats.reliability = rel_;
-  stats.overload.admitted = overload_admitted_;
-  stats.overload.rejected = overload_rejected_;
-  stats.overload.shed_expired =
-      tenants_on() ? tenant_queue_->shed_total() : queue_.stats().shed_expired;
-  stats.cancelled =
-      tenants_on() ? tenant_queue_->cancelled_total() : queue_.stats().cancelled;
+  stats.reliability = reliable_.stats();
+  central_.add_to(stats);
   stats.overload.k_shrinks = adaptive_k_.shrinks();
   stats.overload.k_restores = adaptive_k_.restores();
-  stats.tenants = tenant::assemble_stats(config_.tenant, tenant_queue_.get(),
-                                         tenant_admission_.get());
   return stats;
 }
 
 ServerTelemetry RainServer::telemetry() const {
   ServerTelemetry t;
-  t.queue_depth = central_depth();
+  central_.add_to(t);
   t.outstanding = status_.total_outstanding();
   t.drops = malformed_ + pf_->ring(0).stats().dropped;
-  t.retransmits = rel_.retransmits;
-  t.abandoned = rel_.abandoned;
-  t.rejected = overload_rejected_;
-  t.shed =
-      tenants_on() ? tenant_queue_->shed_total() : queue_.stats().shed_expired;
-  if (tenants_on()) {
-    t.tenant_depths.reserve(tenant_queue_->tenant_count());
-    for (std::size_t i = 0; i < tenant_queue_->tenant_count(); ++i) {
-      t.tenant_depths.push_back(tenant_queue_->depth_of(i));
-    }
-  }
+  t.retransmits = reliable_.stats().retransmits;
+  t.abandoned = reliable_.stats().abandoned;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     t.preemptions += workers_[i]->preemptions();
     t.worker_busy.push_back(workers_[i]->core().stats().busy);

@@ -31,15 +31,14 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "core/central_queue.h"
 #include "core/core_status.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
+#include "core/reliable_dispatch.h"
 #include "core/server.h"
-#include "core/task_queue.h"
 #include "fault/fault_surface.h"
 #include "hw/cpu_core.h"
 #include "hw/interrupt.h"
@@ -99,7 +98,6 @@ class RainServer final : public Server, public fault::FaultSurface {
   ServerTelemetry telemetry() const override;
 
   const CoreStatusTable& core_status() const { return status_; }
-  const TaskQueue& task_queue() const { return queue_; }
 
   // --- fault::FaultSurface -------------------------------------------------
   fault::FaultSurface* fault_surface() override { return this; }
@@ -134,39 +132,7 @@ class RainServer final : public Server, public fault::FaultSurface {
   void issue_preempt(std::size_t worker);
   void fold_sojourn(std::size_t worker, sim::Duration sojourn);
 
-  // --- tenant-aware central-queue facade (DESIGN §13) ----------------------
-  bool tenants_on() const { return tenant_queue_ != nullptr; }
-  bool central_empty() const;
-  std::size_t central_depth() const;
-  void central_push_new(proto::RequestDescriptor descriptor);
-  void central_push_preempted(proto::RequestDescriptor descriptor);
-  std::optional<proto::RequestDescriptor> central_pop(
-      sim::Duration& queue_delay);
-
-  // --- reliable dispatch over doorbell/CQ (DESIGN §9/§15) ------------------
   bool reliable() const { return config_.reliability.enabled; }
-  struct Inflight {
-    proto::RequestDescriptor descriptor;
-    std::size_t worker = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t attempts = 1;
-    bool acked = false;  // kStarted CQE seen
-    sim::EventHandle timer;  // retransmit timer, then completion watchdog
-  };
-  void track_dispatch(const proto::RequestDescriptor& descriptor,
-                      std::size_t worker, std::uint64_t seq);
-  void arm_retransmit(Inflight& entry);
-  void on_retransmit_timeout(std::uint64_t request_id, std::uint64_t seq);
-  void on_completion_timeout(std::uint64_t request_id, std::uint64_t seq);
-  /// The kStarted CQE plays the dispatch-ack role: clears the RTO and arms
-  /// the completion watchdog.
-  void handle_start_ack(std::size_t worker, std::uint64_t seq);
-  /// Retires the inflight entry a completion/preemption CQE resolves.
-  /// Returns false for stale entries (re-steered or abandoned requests),
-  /// whose slot accounting already happened.
-  bool retire_inflight(std::size_t worker, const proto::RdmaCqEntry& cqe);
-  void declare_worker_dead(std::size_t worker);
-  void note_worker_alive(std::size_t worker);
   void post_run_queue_entry(std::size_t worker,
                             const proto::RequestDescriptor& descriptor,
                             std::uint64_t seq);
@@ -186,7 +152,7 @@ class RainServer final : public Server, public fault::FaultSurface {
   net::RdmaQueuePair cq_;
   bool pumping_ = false;
 
-  TaskQueue queue_;
+  CentralQueue central_;
   CoreStatusTable status_;
   std::vector<RunningInfo> running_;
 
@@ -196,22 +162,12 @@ class RainServer final : public Server, public fault::FaultSurface {
   std::uint64_t malformed_ = 0;
 
   // --- overload control (inert when !config_.overload.enabled) -------------
-  overload::AdmissionController admission_;
   overload::AdaptiveKController adaptive_k_;
-  std::uint64_t overload_admitted_ = 0;
-  std::uint64_t overload_rejected_ = 0;
 
-  // --- tenant layer (DESIGN §13; both null when !config_.tenant.enabled) ---
-  std::unique_ptr<tenant::TenantDispatchQueue> tenant_queue_;
-  std::unique_ptr<tenant::TenantAdmission> tenant_admission_;
-
-  // --- reliable-dispatch state (empty/idle when !reliable()) ---------------
-  std::unordered_map<std::uint64_t, Inflight> inflight_;
-  std::unordered_map<std::uint64_t, std::uint64_t> seq_to_request_;
+  // --- reliable dispatch over doorbell/CQ (DESIGN §9/§15) ------------------
+  ReliableDispatch reliable_;
+  /// Stamped on every run-queue entry, reliable or not.
   std::uint64_t next_seq_ = 1;
-  std::unordered_set<std::uint64_t> abandoned_ids_;
-  std::vector<std::uint32_t> consecutive_timeouts_;  // per worker
-  ReliabilityStats rel_;
   /// One stderr line per run for ignored dispatch-loss injections.
   bool warned_dispatch_loss_ = false;
 };

@@ -171,6 +171,26 @@ inline proto::RejectMessage make_reject(const proto::RequestMessage& request,
   return reject;
 }
 
+/// The reject frame answering `request` straight from the NIC interface at
+/// (`mac`, `ip`, `port`), addressed back to the datagram it arrived in.
+inline net::Packet make_reject_frame(net::MacAddress mac, net::Ipv4Address ip,
+                                     std::uint16_t port,
+                                     const net::UdpDatagramView& from,
+                                     const proto::RequestMessage& request,
+                                     std::size_t queue_depth) {
+  net::DatagramAddress reply;
+  reply.src_mac = mac;
+  reply.dst_mac = from.eth.src;
+  reply.src_ip = ip;
+  reply.dst_ip = from.ip.src;
+  reply.src_port = port;
+  reply.dst_port = from.udp.src_port;
+  auto& scratch = proto::serialization_scratch();
+  make_reject(request, static_cast<std::uint32_t>(queue_depth))
+      .serialize_into(scratch);
+  return net::make_udp_datagram(reply, scratch);
+}
+
 /// The response for a completed descriptor.
 inline proto::ResponseMessage make_response(
     const proto::RequestDescriptor& descriptor) {

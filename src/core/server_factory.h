@@ -9,7 +9,6 @@
 
 #include "core/cluster.h"
 #include "core/server.h"
-#include "core/testbed.h"
 #include "net/ethernet_switch.h"
 #include "sim/simulator.h"
 
@@ -20,26 +19,5 @@ namespace nicsched::core {
 std::unique_ptr<Server> make_host_server(const HostSpec& spec,
                                          sim::Simulator& sim,
                                          net::EthernetSwitch& network);
-
-/// Deprecated single-host shim kept for older call sites: lifts the config
-/// through HostSpec::from_config and retargets the system kind. New code
-/// should build a HostSpec (or a ClusterBuilder topology) directly.
-[[deprecated("build a HostSpec / ClusterBuilder topology instead")]]
-inline std::unique_ptr<Server> make_server(SystemKind kind,
-                                           const ExperimentConfig& config,
-                                           sim::Simulator& sim,
-                                           net::EthernetSwitch& network) {
-  HostSpec spec = HostSpec::from_config(config);
-  spec.system = kind;
-  return make_host_server(spec, sim, network);
-}
-
-/// Deprecated convenience: builds `config.system`.
-[[deprecated("build a HostSpec / ClusterBuilder topology instead")]]
-inline std::unique_ptr<Server> make_server(const ExperimentConfig& config,
-                                           sim::Simulator& sim,
-                                           net::EthernetSwitch& network) {
-  return make_host_server(HostSpec::from_config(config), sim, network);
-}
 
 }  // namespace nicsched::core

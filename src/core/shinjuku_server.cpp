@@ -221,75 +221,9 @@ ShinjukuServer::Group::Group(ShinjukuServer& server_ref, std::size_t index_arg)
       // Worker completion flags are the dispatcher loop's primary input; it
       // scans the few worker context lines tightly.
       note_channel(server_ref.sim_, server_ref.params_.dedicated_poll_latency),
-      queue(server_ref.config_.queue_policy),
-      status(0, 1),
-      admission(server_ref.config_.overload) {
-  queue.set_shed_expired(server_ref.config_.overload.enabled &&
-                         server_ref.config_.overload.shedding_enabled);
-  if (server_ref.config_.tenant.enabled) {
-    tenant_queue = std::make_unique<tenant::TenantDispatchQueue>(
-        server_ref.config_.tenant);
-    tenant_queue->set_shed_expired(server_ref.config_.overload.enabled &&
-                                   server_ref.config_.overload.shedding_enabled);
-    if (server_ref.config_.overload.enabled) {
-      tenant_admission = std::make_unique<tenant::TenantAdmission>(
-          server_ref.config_.tenant, server_ref.config_.overload);
-    }
-  }
-}
-
-// --------------------------------------------- central-queue facade (§13)
-
-bool ShinjukuServer::central_empty(const Group& group) {
-  return group.tenant_queue ? group.tenant_queue->empty()
-                            : group.queue.empty();
-}
-
-std::size_t ShinjukuServer::central_depth(const Group& group) {
-  return group.tenant_queue ? group.tenant_queue->depth()
-                            : group.queue.depth();
-}
-
-void ShinjukuServer::central_push_new(Group& group,
-                                      proto::RequestDescriptor descriptor) {
-  if (group.tenant_queue) {
-    group.tenant_queue->push_new(std::move(descriptor), sim_.now());
-  } else {
-    group.queue.push_new(std::move(descriptor), sim_.now());
-  }
-}
-
-void ShinjukuServer::central_push_preempted(
-    Group& group, proto::RequestDescriptor descriptor) {
-  if (group.tenant_queue) {
-    group.tenant_queue->push_preempted(std::move(descriptor), sim_.now());
-  } else {
-    group.queue.push_preempted(std::move(descriptor), sim_.now());
-  }
-}
-
-std::optional<proto::RequestDescriptor> ShinjukuServer::central_pop(
-    Group& group, sim::Duration& queue_delay) {
-  if (group.tenant_queue) {
-    auto popped = group.tenant_queue->pop(sim_.now());
-    if (!popped) return std::nullopt;
-    queue_delay = popped->queue_delay;
-    if (group.tenant_admission) {
-      group.tenant_admission->observe(popped->tenant_index,
-                                      popped->queue_delay);
-    }
-    return std::move(popped->descriptor);
-  }
-  // Load feedback also needs the measured pop (same semantics as the plain
-  // pop while shedding is off).
-  const bool measure = config_.overload.enabled || config_.load_feedback;
-  auto descriptor = measure ? group.queue.pop(sim_.now(), queue_delay)
-                            : group.queue.pop();
-  if (descriptor && config_.overload.enabled) {
-    group.admission.observe_queue_delay(queue_delay);
-  }
-  return descriptor;
-}
+      central(server_ref.config_.queue_policy, server_ref.config_.overload,
+              server_ref.config_.tenant),
+      status(0, 1) {}
 
 // ------------------------------------------------------------- the server
 
@@ -361,10 +295,6 @@ const CoreStatusTable& ShinjukuServer::core_status(std::size_t group) const {
   return groups_[group]->status;
 }
 
-const TaskQueue& ShinjukuServer::task_queue(std::size_t group) const {
-  return groups_[group]->queue;
-}
-
 void ShinjukuServer::networker_handle(Group& group, net::Packet packet) {
   const auto datagram = net::parse_udp_datagram(packet);
   if (!datagram || datagram->udp.dst_port != config_.udp_port) {
@@ -377,13 +307,7 @@ void ShinjukuServer::networker_handle(Group& group, net::Packet packet) {
       // control 5-tuple need not hash to the group that queued the request,
       // so mark every group's queue; a mark that never matches is harmless
       // (ids are unique per run).
-      for (auto& other : groups_) {
-        if (other->tenant_queue) {
-          other->tenant_queue->cancel(cancel->request_id);
-        } else {
-          other->queue.cancel(cancel->request_id);
-        }
-      }
+      for (auto& other : groups_) other->central.cancel(cancel->request_id);
     } else {
       ++group.malformed;
     }
@@ -395,45 +319,25 @@ void ShinjukuServer::networker_handle(Group& group, net::Packet packet) {
     return;
   }
   ++group.requests_received;
-  if (config_.overload.enabled) {
-    // Informed admission (DESIGN §11), scoped to this group's queue; with
-    // tenants on (§13) the request is judged by its own tenant's gate.
-    std::size_t depth = central_depth(group) + group.intake_channel.depth();
-    bool admitted;
-    if (group.tenant_admission) {
-      const std::size_t slot = group.tenant_queue->index_of(request->tenant);
-      depth = group.tenant_queue->depth_of(slot);
-      admitted = group.tenant_admission->admit(slot, depth);
-    } else {
-      admitted = group.admission.admit(depth);
+  // Informed admission (DESIGN §11), scoped to this group's queue; with
+  // tenants on (§13) the request is judged by its own tenant's gate.
+  const auto verdict =
+      group.central.admit(request->tenant, group.intake_channel.depth());
+  if (!verdict.admitted) {
+    if (sim_.span_enabled()) {
+      const sim::TimePoint rx = packet.rx_at();
+      const auto lane = static_cast<std::uint32_t>(group.index);
+      obs::end_span_at(sim_, rx, request->request_id,
+                       obs::SpanKind::kClientWire, lane);
+      obs::begin_span_at(sim_, rx, request->request_id,
+                         obs::SpanKind::kNicRx, lane);
+      obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, lane);
+      obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
+                      lane);
     }
-    if (!admitted) {
-      ++group.overload_rejected;
-      if (sim_.span_enabled()) {
-        const sim::TimePoint rx = packet.rx_at();
-        const auto lane = static_cast<std::uint32_t>(group.index);
-        obs::end_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kClientWire, lane);
-        obs::begin_span_at(sim_, rx, request->request_id,
-                           obs::SpanKind::kNicRx, lane);
-        obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, lane);
-        obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
-                        lane);
-      }
-      net::DatagramAddress reply;
-      reply.src_mac = pf_->mac();
-      reply.dst_mac = datagram->eth.src;
-      reply.src_ip = pf_->ip();
-      reply.dst_ip = datagram->ip.src;
-      reply.src_port = config_.udp_port;
-      reply.dst_port = datagram->udp.src_port;
-      auto& scratch = proto::serialization_scratch();
-      make_reject(*request, static_cast<std::uint32_t>(depth))
-          .serialize_into(scratch);
-      pf_->transmit(net::make_udp_datagram(reply, scratch));
-      return;
-    }
-    ++group.overload_admitted;
+    pf_->transmit(make_reject_frame(pf_->mac(), pf_->ip(), config_.udp_port,
+                                    *datagram, *request, verdict.depth));
+    return;
   }
   if (sim_.span_enabled()) {
     const sim::TimePoint rx = packet.rx_at();
@@ -471,7 +375,8 @@ void ShinjukuServer::dispatcher_step(Group& group) {
           info.active = false;
           info.preempt_in_flight = false;
           if (note->preempted) {
-            central_push_preempted(group, std::move(note->descriptor));
+            group.central.push_preempted(std::move(note->descriptor),
+                                         sim_.now());
           }
         } else {
           // Stale note for a request the liveness watchdog already
@@ -484,24 +389,25 @@ void ShinjukuServer::dispatcher_step(Group& group) {
         group.running[note->worker].active = false;
         group.running[note->worker].preempt_in_flight = false;
         if (note->preempted) {
-          central_push_preempted(group, std::move(note->descriptor));
+          group.central.push_preempted(std::move(note->descriptor),
+                                         sim_.now());
         }
       }
       dispatcher_step(group);
     });
     return;
   }
-  if (!central_empty(group) && group.status.pick_least_loaded().has_value()) {
+  if (!group.central.empty() && group.status.pick_least_loaded().has_value()) {
     group.dispatcher_core.run(
         params_.dispatch_assign_cost + params_.cacheline_ipc_cost,
         [this, &group]() {
           const auto worker = group.status.pick_least_loaded();
           if (worker) {
             sim::Duration queue_delay = sim::Duration::zero();
-            auto descriptor = central_pop(group, queue_delay);
+            auto descriptor = group.central.pop(sim_.now(), queue_delay);
             if (descriptor) {
               descriptor->queue_depth =
-                  static_cast<std::uint32_t>(central_depth(group));
+                  static_cast<std::uint32_t>(group.central.depth());
               group.status.note_sent(*worker, sim_.now());
               if (sim_.span_enabled()) {
                 const auto lane = static_cast<std::uint32_t>(group.index);
@@ -541,7 +447,7 @@ void ShinjukuServer::dispatcher_step(Group& group) {
     group.dispatcher_core.run(params_.dispatch_enqueue_cost, [this, &group]() {
       auto descriptor = group.intake_channel.pop();
       if (descriptor) {
-        central_push_new(group, std::move(*descriptor));
+        group.central.push_new(std::move(*descriptor), sim_.now());
         // A request arriving with every worker saturated may justify
         // preempting someone already past their slice.
         maybe_preempt_for_waiting_work(group);
@@ -558,7 +464,7 @@ void ShinjukuServer::schedule_slice_check(Group& group, std::size_t worker,
   sim_.after(config_.time_slice, [this, &group, worker, epoch]() {
     RunningInfo& info = group.running[worker];
     if (!info.active || info.epoch != epoch || info.preempt_in_flight) return;
-    if (central_empty(group)) {
+    if (group.central.empty()) {
       // Informed decision: no waiting work, so let the request keep running
       // and re-check a slice later (§3.4.4 contrasts this with the offload
       // timer that fires regardless).
@@ -570,7 +476,7 @@ void ShinjukuServer::schedule_slice_check(Group& group, std::size_t worker,
 }
 
 void ShinjukuServer::maybe_preempt_for_waiting_work(Group& group) {
-  if (central_empty(group)) return;
+  if (group.central.empty()) return;
   if (group.status.pick_least_loaded().has_value()) return;  // someone free
   // Preempt the longest-running worker past its slice, if any.
   std::optional<std::size_t> victim;
@@ -612,23 +518,16 @@ void ShinjukuServer::arm_liveness(Group& group, std::size_t worker,
                RunningInfo& info = group.running[worker];
                if (!info.active || info.epoch != epoch) return;
                ++rel_.timeouts;
-               declare_worker_dead(group, worker);
+               if (!group.status.entry(worker).healthy) return;
+               group.status.set_healthy(worker, false);
+               ++rel_.worker_deaths;
+               group.status.note_retired(worker, sim_.now());
+               info.active = false;
+               info.preempt_in_flight = false;
+               ++rel_.redispatched;
+               group.central.push_preempted(info.descriptor, sim_.now());
+               dispatcher_kick(group);
              });
-}
-
-void ShinjukuServer::declare_worker_dead(Group& group, std::size_t worker) {
-  if (!group.status.entry(worker).healthy) return;
-  group.status.set_healthy(worker, false);
-  ++rel_.worker_deaths;
-  RunningInfo& info = group.running[worker];
-  if (info.active) {
-    group.status.note_retired(worker, sim_.now());
-    info.active = false;
-    info.preempt_in_flight = false;
-    ++rel_.redispatched;
-    central_push_preempted(group, info.descriptor);
-  }
-  dispatcher_kick(group);
 }
 
 hw::CpuCore& ShinjukuServer::worker_core_at(std::uint32_t worker) {
@@ -667,23 +566,8 @@ ServerStats ShinjukuServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
   for (const auto& group : groups_) {
     stats.requests_received += group->requests_received;
-    stats.queue_max_depth = std::max(
-        stats.queue_max_depth, group->tenant_queue
-                                   ? group->tenant_queue->max_depth()
-                                   : group->queue.stats().max_depth);
     stats.drops += group->malformed;
-    stats.overload.admitted += group->overload_admitted;
-    stats.overload.rejected += group->overload_rejected;
-    stats.overload.shed_expired += group->tenant_queue
-                                       ? group->tenant_queue->shed_total()
-                                       : group->queue.stats().shed_expired;
-    stats.cancelled += group->tenant_queue
-                           ? group->tenant_queue->cancelled_total()
-                           : group->queue.stats().cancelled;
-    tenant::accumulate(
-        stats.tenants,
-        tenant::assemble_stats(config_.tenant, group->tenant_queue.get(),
-                               group->tenant_admission.get()));
+    group->central.add_to(stats);
     for (const auto& worker : group->workers) {
       stats.responses_sent += worker->responses_sent();
       stats.preemptions += worker->preemptions();
@@ -708,19 +592,10 @@ ServerStats ShinjukuServer::stats(sim::Duration elapsed) const {
 ServerTelemetry ShinjukuServer::telemetry() const {
   ServerTelemetry t;
   for (const auto& group : groups_) {
-    t.queue_depth += central_depth(*group) + group->intake_channel.depth();
+    group->central.add_to(t);
+    t.queue_depth += group->intake_channel.depth();
     t.outstanding += group->status.total_outstanding();
     t.drops += group->malformed;
-    t.rejected += group->overload_rejected;
-    t.shed += group->tenant_queue ? group->tenant_queue->shed_total()
-                                  : group->queue.stats().shed_expired;
-    if (group->tenant_queue) {
-      const std::size_t count = group->tenant_queue->tenant_count();
-      if (t.tenant_depths.size() < count) t.tenant_depths.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        t.tenant_depths[i] += group->tenant_queue->depth_of(i);
-      }
-    }
     for (const auto& worker : group->workers) {
       t.preemptions += worker->preemptions();
       t.worker_busy.push_back(worker->core().stats().busy);

@@ -23,11 +23,11 @@
 #include <optional>
 #include <vector>
 
+#include "core/central_queue.h"
 #include "core/core_status.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
-#include "core/task_queue.h"
 #include "fault/fault_surface.h"
 #include "hw/channel.h"
 #include "hw/cpu_core.h"
@@ -100,7 +100,6 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
   /// between dispatcher groups.
   std::uint64_t group_requests(std::size_t group) const;
   const CoreStatusTable& core_status(std::size_t group = 0) const;
-  const TaskQueue& task_queue(std::size_t group = 0) const;
 
  private:
   class Worker;
@@ -139,7 +138,9 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
     hw::MessageChannel<Note> note_channel;
     bool pumping = false;
 
-    TaskQueue queue;
+    /// Each dispatcher pair queues and admits against its own backlog, so an
+    /// overloaded RSS bucket rejects while others accept.
+    CentralQueue central;
     CoreStatusTable status;
     std::vector<RunningInfo> running;
     std::vector<std::unique_ptr<Worker>> workers;
@@ -147,33 +148,12 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
     std::uint64_t requests_received = 0;
     std::uint64_t malformed = 0;
     std::uint64_t preempts_issued = 0;
-
-    /// Per-group overload control: each dispatcher pair admits against its
-    /// own queue, so an overloaded RSS bucket rejects while others accept.
-    overload::AdmissionController admission;
-    std::uint64_t overload_admitted = 0;
-    std::uint64_t overload_rejected = 0;
-
-    /// Tenant layer (DESIGN §13); both null when !config_.tenant.enabled.
-    std::unique_ptr<tenant::TenantDispatchQueue> tenant_queue;
-    std::unique_ptr<tenant::TenantAdmission> tenant_admission;
   };
 
   void networker_handle(Group& group, net::Packet packet);
   void dispatcher_kick(Group& group);
   void dispatcher_step(Group& group);
 
-  // --- tenant-aware central-queue facade (DESIGN §13) ----------------------
-  bool tenants_on() const { return config_.tenant.enabled; }
-  static bool central_empty(const Group& group);
-  static std::size_t central_depth(const Group& group);
-  void central_push_new(Group& group, proto::RequestDescriptor descriptor);
-  void central_push_preempted(Group& group,
-                              proto::RequestDescriptor descriptor);
-  /// Pops under the group's live policy; fills `queue_delay` when measuring
-  /// (overload, load feedback, or tenants on) and feeds the owning gate.
-  std::optional<proto::RequestDescriptor> central_pop(
-      Group& group, sim::Duration& queue_delay);
   void schedule_slice_check(Group& group, std::size_t worker,
                             std::uint64_t epoch);
   void maybe_preempt_for_waiting_work(Group& group);
@@ -181,7 +161,6 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
 
   bool reliable() const { return config_.reliability.enabled; }
   void arm_liveness(Group& group, std::size_t worker, std::uint64_t epoch);
-  void declare_worker_dead(Group& group, std::size_t worker);
   hw::CpuCore& worker_core_at(std::uint32_t worker);
 
   sim::Simulator& sim_;

@@ -264,19 +264,6 @@ struct ExperimentConfig {
     placement = where;
     return *this;
   }
-  /// Superseded by the TenantSpec workload API (DESIGN §13): a raw
-  /// single-stream distribution is the degenerate one-tenant case. Use
-  /// `with_tenants({...})` (each spec carries its own service), or the
-  /// `fixed()`/`bimodal()` shim shorthands for classic single-stream runs.
-  /// See README "Describing workloads".
-  [[deprecated(
-      "describe workloads with with_tenants(...) / tenant::TenantSpec, or "
-      "the fixed()/bimodal() single-stream shorthands")]]
-  ExperimentConfig& with_service(
-      std::shared_ptr<workload::ServiceDistribution> distribution) {
-    service = std::move(distribution);
-    return *this;
-  }
   /// Service shorthands for the paper's standard workloads. These are the
   /// supported single-stream spellings: they build the one-tenant shim over
   /// the TenantSpec model and stay bit-identical to pre-tenant builds.

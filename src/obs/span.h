@@ -14,7 +14,6 @@
 //                   worker pop)
 //   kService        executing on a worker core
 //   kRequeue        preempted → re-assigned (notification + queue wait)
-//   kRunnable       reserved (unused; keeps numbering stable for exports)
 //   kResponse       work complete → response observed by the client
 //
 // A preempted request repeats kService/kRequeue/kDispatch segments; the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 namespace nicsched::net {
 namespace {
@@ -17,6 +18,12 @@ struct MsVector {
   std::uint32_t hash_with_ports;
   std::uint32_t hash_ip_only;
 };
+
+// Names each case by its address pair: gtest's default dump of the raw bytes holds
+// the string pointers, so the discovered test names would change per run.
+void PrintTo(const MsVector& vector, std::ostream* os) {
+  *os << vector.src_ip << " to " << vector.dst_ip;
+}
 
 // The official Microsoft RSS verification suite for IPv4 (the same vectors
 // every NIC vendor validates Toeplitz against).

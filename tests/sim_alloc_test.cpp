@@ -18,16 +18,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <memory_resource>
 #include <new>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "core/core_status.h"
+#include "core/reliable_dispatch.h"
 #include "hw/channel.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "proto/messages.h"
-#include "sim/arena.h"
 #include "sim/simulator.h"
 #include "sim/small_fn.h"
 
@@ -262,52 +260,44 @@ TEST(SimAlloc, ScratchSerializationRoundTripIsAllocationFree) {
   EXPECT_EQ(parsed, 50'000u);
 }
 
-// The reliable-dispatch bookkeeping shape: map/set nodes that churn once per
-// tracked request. On an ArenaResource the first wave warms exact-size
-// freelists; after that, insert/erase cycles must never reach the global
-// allocator. This is the same arena + container layout
-// ShinjukuOffloadServer uses for its inflight/seq/dedupe tables.
+// The real reliable-dispatch table (shared by the offload and rain
+// families) through its steady state: every microsecond a fresh request is
+// tracked, the previous one is acked (its RTO swapped for the completion
+// watchdog) and the one a window back is retired. The first wave warms the
+// table's arena freelists and the event queue; after that the window must
+// never reach the global allocator.
 TEST(SimAlloc, ArenaBackedReliableTablesAreAllocationFree) {
-  sim::ArenaResource arena;
-  struct Inflight {
-    std::uint64_t seq = 0;
-    std::uint32_t attempts = 1;
-    sim::EventHandle timer;
-  };
-  std::pmr::unordered_map<std::uint64_t, Inflight> inflight{&arena};
-  std::pmr::unordered_map<std::uint64_t, std::uint64_t> seq_to_request{&arena};
-  std::pmr::unordered_set<std::uint64_t> dedupe{&arena};
+  sim::Simulator sim;
+  core::CoreStatusTable status(1, 1u << 20);
+  core::ReliabilityParams params;
+  params.enabled = true;
+  core::ReliableDispatch dispatch(
+      sim, params, status, nullptr, "alloc",
+      {[](std::size_t, const proto::RequestDescriptor&, std::uint64_t) {},
+       [](proto::RequestDescriptor) {}, []() {}});
 
-  // Warm: grow bucket arrays and node freelists past the steady population
-  // (which transiently reaches kWindow + 1: each ack lands after the next
-  // insert), doubled for rehash-threshold margin.
-  constexpr std::uint64_t kWindow = 64;
-  for (std::uint64_t id = 1; id <= 2 * kWindow; ++id) {
-    inflight.emplace(id, Inflight{id, 1, {}});
-    seq_to_request.emplace(id, id);
-    dedupe.insert(id);
-  }
-  for (std::uint64_t id = 1; id <= 2 * kWindow; ++id) {
-    inflight.erase(id);
-    seq_to_request.erase(id);
-  }
-  dedupe.clear();
+  constexpr std::uint64_t kWindow = 64;  // retire after 64 us < 500 us watchdog
+  std::uint64_t next_id = 1;
+  auto tick = [&]() {
+    const std::uint64_t id = next_id++;
+    proto::RequestDescriptor descriptor;
+    descriptor.request_id = id;
+    dispatch.track(descriptor, 0, id);  // seq == id
+    if (id > 1) dispatch.ack(0, id - 1);
+    if (id > kWindow) dispatch.retire(0, id - kWindow, /*completed=*/true);
+    sim.run_for(sim::Duration::micros(1));
+  };
+  // Warm past the 500 us watchdog horizon so cancelled timers recycle too.
+  for (int i = 0; i < 2'000; ++i) tick();
 
   const std::uint64_t before = allocation_count();
-  for (std::uint64_t id = kWindow + 1; id <= kWindow + 10'000; ++id) {
-    inflight.emplace(id, Inflight{id, 1, {}});
-    seq_to_request.emplace(id, id);
-    dedupe.insert(id);
-    const std::uint64_t retire = id - kWindow;  // ack lands a window later
-    inflight.erase(retire);
-    seq_to_request.erase(retire);
-    dedupe.erase(retire);
-  }
+  for (int i = 0; i < 10'000; ++i) tick();
   const std::uint64_t after = allocation_count();
 
   EXPECT_EQ(after - before, 0u)
       << "steady-state reliable bookkeeping must recycle arena freelists";
-  EXPECT_GT(arena.reused_allocations(), 0u);
+  EXPECT_EQ(dispatch.stats().retransmits, 0u);
+  EXPECT_EQ(dispatch.stats().duplicates, 0u);
 }
 
 // Direct checks that the hot capture shapes stay inline in SmallFn.

@@ -3,8 +3,8 @@
 // inheriting the experiment's service knob, or one carrying an identical
 // distribution of its own — must reproduce the legacy configuration bit for
 // bit: same responses, same timestamps, same counters, for every server
-// family and seed. This is what lets with_tenants() supersede the deprecated
-// with_service() without perturbing a single golden.
+// family and seed. This is what lets with_tenants() stand in for a raw
+// service distribution without perturbing a single golden.
 #include <cstdint>
 #include <vector>
 

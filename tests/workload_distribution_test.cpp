@@ -3,10 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "workload/arrival.h"
 
 namespace nicsched::workload {
+
+// Names each parameterised case by its distribution family ("bimodal" of
+// "bimodal(...)"): gtest's default print of a shared_ptr holds heap addresses,
+// so the discovered test names would change per run. Outside the unnamed
+// namespace so argument-dependent lookup finds it.
+void PrintTo(const std::shared_ptr<ServiceDistribution>& distribution,
+             std::ostream* os) {
+  const std::string name = distribution->name();
+  *os << name.substr(0, name.find('('));
+}
+
 namespace {
 
 double empirical_mean_us(ServiceDistribution& distribution, int n,
