@@ -1,4 +1,4 @@
-// Determinism regression: for 3 seeds x 4 server kinds, the full observable
+// Determinism regression: for 3 seeds x 5 server kinds, the full observable
 // output of a run — every response record, every span, and the ServerStats
 // counters — is hashed into one digest and compared against golden values
 // recorded at the pre-fast-path (shared_ptr EventQueue, per-frame-allocating
@@ -15,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <iterator>
 
 #include "core/testbed.h"
+#include "fault/fault_schedule.h"
 #include "net/packet.h"
 #include "obs/capture.h"
 #include "stats/response_log.h"
@@ -58,7 +60,15 @@ void hash_lifecycles(Digest& digest,
   }
 }
 
-std::uint64_t run_digest(core::SystemKind kind, std::uint64_t seed) {
+sim::TimePoint at_us(std::int64_t us) {
+  return sim::TimePoint::origin() + sim::Duration::micros(us);
+}
+
+/// `faulted` runs reliable dispatch under a fixed schedule that crashes
+/// worker 1 mid-window and resumes it before the drain, so the digest also
+/// covers the liveness verdict, the re-steer and the revival.
+std::uint64_t run_digest(core::SystemKind kind, std::uint64_t seed,
+                         bool faulted = false) {
   stats::ResponseLog log;
   obs::CaptureOptions capture;
   capture.enabled = true;
@@ -78,6 +88,12 @@ std::uint64_t run_digest(core::SystemKind kind, std::uint64_t seed) {
   config.warmup = sim::Duration::millis(1);
   config.drain = sim::Duration::millis(1);
   config.response_log = &log;
+  if (faulted) {
+    config.reliable();
+    config.with_faults(fault::FaultSchedule{}
+                           .crash_worker(at_us(1500), 1)
+                           .resume_worker(at_us(2500), 1));
+  }
 
   const core::ExperimentResult result = core::run_experiment(config);
 
@@ -113,6 +129,13 @@ std::uint64_t run_digest(core::SystemKind kind, std::uint64_t seed) {
   digest.add(s.ddio.dram_touches);
   digest.add(s.reliability.retransmits);
   digest.add(s.reliability.abandoned);
+  if (faulted) {
+    digest.add(s.reliability.timeouts);
+    digest.add(s.reliability.redispatched);
+    digest.add(s.reliability.duplicates);
+    digest.add(s.reliability.worker_deaths);
+    digest.add(s.reliability.revivals);
+  }
   return digest.value();
 }
 
@@ -121,6 +144,35 @@ struct Golden {
   std::uint64_t seed;
   std::uint64_t digest;
 };
+
+const char* golden_name(core::SystemKind kind) {
+  switch (kind) {
+    case core::SystemKind::kShinjuku: return "Shinjuku";
+    case core::SystemKind::kShinjukuOffload: return "ShinjukuOffload";
+    case core::SystemKind::kRss: return "Rss";
+    case core::SystemKind::kIdealNic: return "IdealNic";
+    case core::SystemKind::kRain: return "Rain";
+    default: return "?";
+  }
+}
+
+void check_goldens(const Golden* begin, const Golden* end, bool faulted) {
+  const bool print = std::getenv("NICSCHED_PRINT_GOLDEN") != nullptr;
+  for (const Golden* golden = begin; golden != end; ++golden) {
+    const std::uint64_t digest =
+        run_digest(golden->kind, golden->seed, faulted);
+    if (print) {
+      std::printf("    {core::SystemKind::k%s, %llu, 0x%llxULL},\n",
+                  golden_name(golden->kind),
+                  static_cast<unsigned long long>(golden->seed),
+                  static_cast<unsigned long long>(digest));
+      continue;
+    }
+    EXPECT_EQ(digest, golden->digest)
+        << "kind=" << core::to_string(golden->kind) << " seed=" << golden->seed;
+  }
+  if (print) GTEST_SKIP() << "golden print mode";
+}
 
 // Recorded at the seed implementation (PR 3 tree: weak_ptr EventQueue,
 // per-frame allocations, always-verify checksums) — see header comment.
@@ -137,27 +189,30 @@ const Golden kGoldens[] = {
     {core::SystemKind::kIdealNic, 1, 0x13be2ff67a0b9d70ULL},
     {core::SystemKind::kIdealNic, 2, 0x9b0ee4ade6aee287ULL},
     {core::SystemKind::kIdealNic, 3, 0x507fe88b06cf7f47ULL},
+    // Rain rows recorded later, before its worker loop was shared with the
+    // ideal NIC's.
+    {core::SystemKind::kRain, 1, 0x723ef17a0de85392ULL},
+    {core::SystemKind::kRain, 2, 0x592b7872652bd433ULL},
+    {core::SystemKind::kRain, 3, 0xced54d05eff543b0ULL},
+};
+
+// Reliable dispatch under a worker crash + resume (see run_digest). Rain and
+// offload re-steer through ReliableDispatch, shinjuku through its own
+// completion watchdog; the crashed worker holds two requests at K=2, so the
+// re-steer order is observable.
+const Golden kReliableFaultGoldens[] = {
+    {core::SystemKind::kShinjukuOffload, 1, 0xb9d84697df47c682ULL},
+    {core::SystemKind::kRain, 1, 0x8a2e228d95ef18bcULL},
+    {core::SystemKind::kShinjuku, 1, 0xfe917ae216906a50ULL},
 };
 
 TEST(SimDeterminism, BitIdenticalToPreFastPathGoldens) {
-  const bool print = std::getenv("NICSCHED_PRINT_GOLDEN") != nullptr;
-  for (const Golden& golden : kGoldens) {
-    const std::uint64_t digest = run_digest(golden.kind, golden.seed);
-    if (print) {
-      std::printf("    {core::SystemKind::k%s, %llu, 0x%llxULL},\n",
-                  golden.kind == core::SystemKind::kShinjuku ? "Shinjuku"
-                  : golden.kind == core::SystemKind::kShinjukuOffload
-                      ? "ShinjukuOffload"
-                  : golden.kind == core::SystemKind::kRss ? "Rss"
-                                                          : "IdealNic",
-                  static_cast<unsigned long long>(golden.seed),
-                  static_cast<unsigned long long>(digest));
-      continue;
-    }
-    EXPECT_EQ(digest, golden.digest)
-        << "kind=" << core::to_string(golden.kind) << " seed=" << golden.seed;
-  }
-  if (print) GTEST_SKIP() << "golden print mode";
+  check_goldens(std::begin(kGoldens), std::end(kGoldens), false);
+}
+
+TEST(SimDeterminism, ReliableDispatchUnderCrashMatchesGoldens) {
+  check_goldens(std::begin(kReliableFaultGoldens),
+                std::end(kReliableFaultGoldens), true);
 }
 
 // Two identical runs in one process must agree exactly — catches any hidden
