@@ -55,15 +55,16 @@ class DistributedServer::Worker {
     });
   }
 
-  const hw::CpuCore& core() const { return core_; }
-  hw::CpuCore& mutable_core() { return core_; }
+  hw::CpuCore& core() { return core_; }
+  WorkerCounters counters() const {
+    return WorkerCounters{responses_sent_, 0, 0, ddio_, core_.stats().busy};
+  }
   std::uint64_t responses_sent() const { return responses_sent_; }
   std::uint64_t requests_received() const { return requests_received_; }
   std::uint64_t steals() const { return steals_; }
   std::uint64_t admitted() const { return admitted_; }
   std::uint64_t rejected() const { return rejected_; }
   std::uint64_t shed() const { return shed_; }
-  const hw::DdioStats& ddio() const { return ddio_; }
 
   /// Per-tenant rows for this core (counters + its gates' outcomes); empty
   /// when the tenant layer is off.
@@ -162,13 +163,7 @@ class DistributedServer::Worker {
         // Run-to-completion: no dispatcher, so the request goes straight
         // from NIC RX (ring residency counts as NIC time) into service.
         const auto lane = static_cast<std::uint32_t>(100 + id_);
-        const sim::TimePoint rx = p.rx_at();
-        obs::end_span_at(sim, rx, descriptor.request_id,
-                         obs::SpanKind::kClientWire, lane);
-        obs::begin_span_at(sim, rx, descriptor.request_id,
-                           obs::SpanKind::kNicRx, lane);
-        obs::end_span(sim, descriptor.request_id, obs::SpanKind::kNicRx,
-                      lane);
+        obs::record_nic_rx(sim, p.rx_at(), descriptor.request_id, lane);
         obs::begin_span(sim, descriptor.request_id, obs::SpanKind::kService,
                         lane);
       }
@@ -211,12 +206,7 @@ class DistributedServer::Worker {
       }
       if (sim.span_enabled()) {
         const auto lane = static_cast<std::uint32_t>(100 + id_);
-        const sim::TimePoint rx = p.rx_at();
-        obs::end_span_at(sim, rx, request.request_id,
-                         obs::SpanKind::kClientWire, lane);
-        obs::begin_span_at(sim, rx, request.request_id, obs::SpanKind::kNicRx,
-                           lane);
-        obs::end_span(sim, request.request_id, obs::SpanKind::kNicRx, lane);
+        obs::record_nic_rx(sim, p.rx_at(), request.request_id, lane);
       }
       return true;
     }
@@ -228,12 +218,7 @@ class DistributedServer::Worker {
       ++rejected_;
       if (sim.span_enabled()) {
         const auto lane = static_cast<std::uint32_t>(100 + id_);
-        const sim::TimePoint rx = p.rx_at();
-        obs::end_span_at(sim, rx, request.request_id,
-                         obs::SpanKind::kClientWire, lane);
-        obs::begin_span_at(sim, rx, request.request_id, obs::SpanKind::kNicRx,
-                           lane);
-        obs::end_span(sim, request.request_id, obs::SpanKind::kNicRx, lane);
+        obs::record_nic_rx(sim, p.rx_at(), request.request_id, lane);
         obs::begin_span(sim, request.request_id, obs::SpanKind::kResponse,
                         lane);
       }
@@ -321,8 +306,8 @@ class DistributedServer::Worker {
 DistributedServer::DistributedServer(sim::Simulator& sim,
                                      net::EthernetSwitch& network,
                                      const ModelParams& params, Config config)
-    : sim_(sim),
-      network_(network),
+    : FaultableServer(network, config.worker_count),
+      sim_(sim),
       params_(params),
       config_(config),
       nic_(sim, nic_config(params)) {
@@ -395,49 +380,26 @@ std::string DistributedServer::name() const {
   return "distributed";
 }
 
-void DistributedServer::inject_ingress_loss(double probability,
-                                            std::uint64_t seed) {
-  network_.set_port_loss(pf_->mac(), probability, seed);
+hw::CpuCore& DistributedServer::worker_core(std::uint32_t worker) {
+  return workers_[worker]->core();
 }
 
-void DistributedServer::inject_dispatch_loss(double /*probability*/,
-                                             std::uint64_t /*seed*/) {}
-
-void DistributedServer::inject_ingress_degrade(double factor) {
-  network_.set_port_degrade(pf_->mac(), factor);
-}
-
-void DistributedServer::inject_worker_stall(std::uint32_t worker,
-                                            sim::Duration duration) {
-  workers_[worker]->mutable_core().stall_for(duration);
-}
-
-void DistributedServer::inject_worker_crash(std::uint32_t worker) {
-  workers_[worker]->mutable_core().stall();
-}
-
-void DistributedServer::inject_worker_resume(std::uint32_t worker) {
-  workers_[worker]->mutable_core().resume();
+std::uint64_t DistributedServer::drops() const {
+  std::uint64_t drops = nic_.rx_unknown_mac_drops() + malformed_;
+  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+    drops += pf_->ring(i).stats().dropped;
+  }
+  return drops;
 }
 
 ServerStats DistributedServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
   for (const auto& worker : workers_) {
     stats.requests_received += worker->requests_received();
-    stats.responses_sent += worker->responses_sent();
     stats.steals += worker->steals();
-    stats.ddio.l1_touches += worker->ddio().l1_touches;
-    stats.ddio.llc_touches += worker->ddio().llc_touches;
-    stats.ddio.dram_touches += worker->ddio().dram_touches;
-    if (elapsed > sim::Duration::zero()) {
-      stats.worker_utilization.push_back(worker->core().stats().busy /
-                                         elapsed);
-    }
+    worker->counters().add_to(stats, elapsed);
   }
-  stats.drops = nic_.rx_unknown_mac_drops() + malformed_;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
-    stats.drops += pf_->ring(i).stats().dropped;
-  }
+  stats.drops = drops();
   for (const auto& worker : workers_) {
     stats.overload.admitted += worker->admitted();
     stats.overload.rejected += worker->rejected();
@@ -449,17 +411,16 @@ ServerStats DistributedServer::stats(sim::Duration elapsed) const {
 
 ServerTelemetry DistributedServer::telemetry() const {
   ServerTelemetry t;
-  t.drops = malformed_;
+  t.drops = drops();
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
     t.queue_depth += pf_->ring(i).depth();
-    t.drops += pf_->ring(i).stats().dropped;
   }
   for (const auto& worker : workers_) {
     t.outstanding += worker->requests_received() - worker->responses_sent() -
                      worker->rejected() - worker->shed();
     t.rejected += worker->rejected();
     t.shed += worker->shed();
-    t.worker_busy.push_back(worker->core().stats().busy);
+    worker->counters().add_to(t);
   }
   return t;
 }

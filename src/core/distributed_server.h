@@ -27,7 +27,6 @@
 
 #include "core/model_params.h"
 #include "core/server.h"
-#include "fault/fault_surface.h"
 #include "hw/cpu_core.h"
 #include "net/ethernet_switch.h"
 #include "net/nic.h"
@@ -35,7 +34,7 @@
 
 namespace nicsched::core {
 
-class DistributedServer final : public Server, public fault::FaultSurface {
+class DistributedServer final : public FaultableServer {
  public:
   enum class Policy { kRss, kFlowDirector, kWorkStealing, kElasticRss };
 
@@ -98,27 +97,16 @@ class DistributedServer final : public Server, public fault::FaultSurface {
   /// kElasticRss: indirection entries moved so far.
   std::uint64_t rebalances() const { return rebalances_; }
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  /// No-op: run-to-completion has no dispatch hop to lose frames on.
-  void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
-
  private:
   class Worker;
 
   void rebalance_tick();
+  // Fault surface: dispatch loss stays the base no-op — run-to-completion
+  // has no dispatch hop to lose frames on.
+  hw::CpuCore& worker_core(std::uint32_t worker) override;
+  std::uint64_t drops() const;
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 

@@ -22,20 +22,20 @@
 
 #include "core/central_queue.h"
 #include "core/core_status.h"
+#include "core/host_worker.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
-#include "fault/fault_surface.h"
+#include "core/slice_timer.h"
 #include "hw/channel.h"
 #include "hw/cpu_core.h"
-#include "hw/interrupt.h"
 #include "net/ethernet_switch.h"
 #include "net/nic.h"
 #include "sim/simulator.h"
 
 namespace nicsched::core {
 
-class IdealNicServer final : public Server, public fault::FaultSurface {
+class IdealNicServer final : public FaultableServer, private SliceTimer::Hooks {
  public:
   struct Config {
     std::size_t worker_count = 4;
@@ -77,47 +77,27 @@ class IdealNicServer final : public Server, public fault::FaultSurface {
 
   const CoreStatusTable& core_status() const { return status_; }
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  /// No-op: the CXL assignment/status path is coherent memory, not packets.
-  void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
-
  private:
   class Worker;
 
-  enum class NoteKind { kStarted, kCompleted, kPreempted };
-
   struct StatusNote {
     std::size_t worker = 0;
-    NoteKind kind = NoteKind::kCompleted;
-    std::uint64_t request_id = 0;
-    proto::RequestDescriptor descriptor;  // valid when preempted
+    HostWorker::Note kind = HostWorker::Note::kCompleted;
+    proto::RequestDescriptor descriptor;  // read when preempted
   };
 
-  struct RunningInfo {
-    std::uint64_t request_id = 0;
-    sim::TimePoint started_at;
-    bool running = false;
-    bool preempt_in_flight = false;
-  };
+  // Fault surface: dispatch loss stays the base no-op — the CXL
+  // assignment/status path is coherent memory, not packets.
+  hw::CpuCore& worker_core(std::uint32_t worker) override;
+  bool work_waiting() const override { return !central_.empty(); }
+  void send_preempt(std::size_t worker) override;
 
   void scheduler_handle(net::Packet packet);
   void scheduler_kick();
   void scheduler_step();
-  void schedule_slice_check(std::size_t worker, std::uint64_t request_id);
-  void issue_preempt(std::size_t worker);
+  std::uint64_t drops() const;
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 
@@ -131,7 +111,7 @@ class IdealNicServer final : public Server, public fault::FaultSurface {
 
   CentralQueue central_;
   CoreStatusTable status_;
-  std::vector<RunningInfo> running_;
+  SliceTimer slice_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
 

@@ -71,13 +71,12 @@ class ShinjukuOffloadServer::Worker {
     });
   }
 
-  const hw::CpuCore& core() const { return core_; }
   /// Fault-injection handle: the stall/crash hooks land on this core.
-  hw::CpuCore& mutable_core() { return core_; }
-  std::uint64_t preemptions() const { return preemptions_; }
-  std::uint64_t responses_sent() const { return responses_sent_; }
-  std::uint64_t spurious() const { return timer_.spurious_count(); }
-  const hw::DdioStats& ddio() const { return ddio_; }
+  hw::CpuCore& core() { return core_; }
+  WorkerCounters counters() const {
+    return WorkerCounters{responses_sent_, preemptions_,
+                          timer_.spurious_count(), ddio_, core_.stats().busy};
+  }
 
  private:
   void start_next() {
@@ -392,8 +391,8 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
                                              net::EthernetSwitch& network,
                                              const ModelParams& params,
                                              Config config)
-    : sim_(sim),
-      network_(network),
+    : FaultableServer(network, config.worker_count),
+      sim_(sim),
       params_(params),
       config_(config),
       arm_nic_(sim, arm_nic_config(params)),
@@ -541,12 +540,7 @@ void ShinjukuOffloadServer::networker_handle(net::Packet packet) {
                            " depth " + std::to_string(verdict.depth)};
     });
     if (sim_.span_enabled()) {
-      const sim::TimePoint rx = packet.rx_at();
-      obs::end_span_at(sim_, rx, request->request_id,
-                       obs::SpanKind::kClientWire);
-      obs::begin_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kNicRx);
-      obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx);
+      obs::record_nic_rx(sim_, packet.rx_at(), request->request_id);
       obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse);
     }
     arm_net_->transmit(make_reject_frame(arm_net_->mac(), arm_net_->ip(),
@@ -556,11 +550,7 @@ void ShinjukuOffloadServer::networker_handle(net::Packet packet) {
   }
   if (sim_.span_enabled()) {
     // The ARM NIC stamped the frame's arrival; attribute wire vs RX/parse.
-    const sim::TimePoint rx = packet.rx_at();
-    obs::end_span_at(sim_, rx, request->request_id,
-                     obs::SpanKind::kClientWire);
-    obs::begin_span_at(sim_, rx, request->request_id, obs::SpanKind::kNicRx);
-    obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx);
+    obs::record_nic_rx(sim_, packet.rx_at(), request->request_id);
     obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue);
   }
   intake_channel_.send(make_descriptor(*request, *datagram));
@@ -806,11 +796,6 @@ void ShinjukuOffloadServer::handle_sequenced_note(std::size_t worker,
 
 // ----------------------------------------------------- fault::FaultSurface
 
-void ShinjukuOffloadServer::inject_ingress_loss(double probability,
-                                                std::uint64_t seed) {
-  network_.set_port_loss(arm_net_->mac(), probability, seed);
-}
-
 void ShinjukuOffloadServer::inject_dispatch_loss(double probability,
                                                  std::uint64_t seed) {
   // Dispatcher→worker frames (assignments, note acks) leave on the ARM
@@ -822,49 +807,30 @@ void ShinjukuOffloadServer::inject_dispatch_loss(double probability,
                          probability > 0.0 ? seed + 1 : 0);
 }
 
-void ShinjukuOffloadServer::inject_ingress_degrade(double factor) {
-  network_.set_port_degrade(arm_net_->mac(), factor);
+hw::CpuCore& ShinjukuOffloadServer::worker_core(std::uint32_t worker) {
+  return workers_[worker]->core();
 }
 
-void ShinjukuOffloadServer::inject_worker_stall(std::uint32_t worker,
-                                                sim::Duration duration) {
-  workers_[worker]->mutable_core().stall_for(duration);
-}
-
-void ShinjukuOffloadServer::inject_worker_crash(std::uint32_t worker) {
-  workers_[worker]->mutable_core().stall();
-}
-
-void ShinjukuOffloadServer::inject_worker_resume(std::uint32_t worker) {
-  workers_[worker]->mutable_core().resume();
-}
-
-ServerStats ShinjukuOffloadServer::stats(sim::Duration elapsed) const {
-  ServerStats stats;
-  stats.requests_received = requests_received_;
-  for (const auto& worker : workers_) {
-    stats.responses_sent += worker->responses_sent();
-    stats.preemptions += worker->preemptions();
-    stats.spurious_interrupts += worker->spurious();
-    stats.ddio.l1_touches += worker->ddio().l1_touches;
-    stats.ddio.llc_touches += worker->ddio().llc_touches;
-    stats.ddio.dram_touches += worker->ddio().dram_touches;
-    if (elapsed > sim::Duration::zero()) {
-      stats.worker_utilization.push_back(worker->core().stats().busy /
-                                         elapsed);
-    }
-  }
-  stats.drops = arm_nic_.rx_unknown_mac_drops() +
-                host_nic_.rx_unknown_mac_drops() + malformed_;
-  stats.drops += arm_net_->ring(0).stats().dropped;
-  stats.drops += arm_disp_->ring(0).stats().dropped;
+std::uint64_t ShinjukuOffloadServer::drops() const {
+  std::uint64_t drops = arm_nic_.rx_unknown_mac_drops() +
+                        host_nic_.rx_unknown_mac_drops() + malformed_ +
+                        arm_net_->ring(0).stats().dropped +
+                        arm_disp_->ring(0).stats().dropped;
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
     // Ring overflow on a worker VF would break the dispatcher's outstanding
     // accounting; surfacing it in drops makes that visible.
     const auto* vf = host_nic_.interface_by_mac(net::MacAddress::from_index(
         kWorkerBaseIndex + static_cast<std::uint32_t>(i)));
-    stats.drops += vf->ring(0).stats().dropped;
+    drops += vf->ring(0).stats().dropped;
   }
+  return drops;
+}
+
+ServerStats ShinjukuOffloadServer::stats(sim::Duration elapsed) const {
+  ServerStats stats;
+  stats.requests_received = requests_received_;
+  for (const auto& worker : workers_) worker->counters().add_to(stats, elapsed);
+  stats.drops = drops();
   stats.reliability = reliable_.stats();
   central_.add_to(stats);
   stats.overload.k_shrinks = adaptive_k_.shrinks();
@@ -877,24 +843,14 @@ ServerTelemetry ShinjukuOffloadServer::telemetry() const {
   central_.add_to(t);
   t.queue_depth += intake_channel_.depth();
   t.outstanding = status_.total_outstanding();
-  // Every ring that can overflow feeds the live drop counter, mirroring
-  // what stats() aggregates; a VF overflow silently corrupting the
-  // outstanding accounting must be visible to the metric sampler.
-  t.drops = malformed_ + arm_net_->ring(0).stats().dropped +
-            arm_disp_->ring(0).stats().dropped;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
-    const auto* vf = host_nic_.interface_by_mac(net::MacAddress::from_index(
-        kWorkerBaseIndex + static_cast<std::uint32_t>(i)));
-    t.drops += vf->ring(0).stats().dropped;
-  }
+  t.drops = drops();
   const ReliabilityStats& rel = reliable_.stats();
   t.retransmits = rel.retransmits + rel.note_retransmits;
   t.abandoned = rel.abandoned;
   t.worker_busy.reserve(workers_.size());
   t.worker_capacity.reserve(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    t.preemptions += workers_[i]->preemptions();
-    t.worker_busy.push_back(workers_[i]->core().stats().busy);
+    workers_[i]->counters().add_to(t);
     t.worker_capacity.push_back(status_.entry(i).capacity);
   }
   return t;

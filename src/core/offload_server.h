@@ -28,7 +28,6 @@
 
 #include "core/central_queue.h"
 #include "core/core_status.h"
-#include "fault/fault_surface.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/reliable_dispatch.h"
@@ -43,7 +42,7 @@
 
 namespace nicsched::core {
 
-class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
+class ShinjukuOffloadServer final : public FaultableServer {
  public:
   struct Config {
     std::size_t worker_count = 4;
@@ -112,18 +111,8 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
   /// Dispatcher-believed worker status (for the feedback-staleness example).
   const CoreStatusTable& core_status() const { return status_; }
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
+  /// Real loss on the UDP dispatcher↔worker path, both directions.
   void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
 
  private:
   class Worker;
@@ -152,10 +141,11 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
   /// Hands an assignment to the next D2 sender core, round-robin.
   void send_assignment(Assignment assignment);
   bool reliable() const { return config_.reliability.enabled; }
+  hw::CpuCore& worker_core(std::uint32_t worker) override;
+  std::uint64_t drops() const;
   void handle_sequenced_note(std::size_t worker, proto::SequencedNote note);
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 

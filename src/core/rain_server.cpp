@@ -49,198 +49,85 @@ sim::Duration rdma_post_cost(const ModelParams& params) {
 
 // ----------------------------------------------------------------- Worker
 
-/// A host worker polling its RDMA run-queue. Assignments arrive as
-/// kRdmaRunQueueEntry payloads; every status transition is reported by
-/// posting a kRdmaCqEntry back over the completion queue. Preemption is a
-/// direct NIC→core interrupt whose delivery latency is one posted write.
-class RainServer::Worker {
+/// The ideal NIC's host worker with RDMA in place of CXL: it polls its RDMA
+/// run-queue for kRdmaRunQueueEntry payloads and reports every status
+/// transition by posting a kRdmaCqEntry back over the completion queue.
+/// Preemption is a direct NIC→core interrupt whose delivery latency is one
+/// posted write.
+class RainServer::Worker final : public HostWorker {
  public:
   Worker(RainServer& server, std::size_t id)
-      : server_(server),
+      : HostWorker(server.sim_, server.params_,
+                   {"rain-worker" + std::to_string(id), id,
+                    static_cast<std::uint32_t>(100 + id),
+                    server.params_.rdma_write_latency,
+                    // Descriptor pop + announcing "started" with one CQ
+                    // entry — the posted write that plays the dispatch-ack
+                    // role under reliable dispatch.
+                    server.params_.ddio_pop_cost +
+                        rdma_post_cost(server.params_),
+                    rdma_post_cost(server.params_), server.config_.placement,
+                    server.pf_, kWorkerPort, server.config_.load_feedback}),
+        server_(server),
         id_(id),
-        core_(server.sim_, [&] {
-          hw::CpuCore::Config config;
-          config.name = "rain-worker" + std::to_string(id);
-          config.frequency = server.params_.host_frequency;
-          return config;
-        }()),
-        interrupt_line_(server.sim_, core_,
-                        hw::InterruptLine::Config{
-                            server.params_.rdma_write_latency,
-                            server.params_.timer_receive_cycles}),
         rq_(server.sim_, rdma_config(server.params_)) {
     rq_.set_on_receive([this]() {
       // Stamp the arrival so the pop can measure the local run-queue
       // sojourn — the adaptive-K backlog signal. Pops consume stamps in
       // FIFO order, so duplicates dropped at parse time stay aligned.
-      arrivals_.push_back(server_.sim_.now());
-      if (idle_) start_next();
+      arrivals_.push_back(sim_.now());
+      wake();
     });
   }
 
   net::RdmaQueuePair& rq() { return rq_; }
-  hw::InterruptLine& interrupt_line() { return interrupt_line_; }
-
-  /// Load feedback: one queued sample per assignment sent, in run-queue
-  /// order; the worker pops the matching sample at pop time.
-  void push_pending_sojourn(sim::Duration sojourn) {
-    pending_sojourns_.push_back(sojourn);
-  }
-
-  const hw::CpuCore& core() const { return core_; }
-  hw::CpuCore& mutable_core() { return core_; }
-  std::uint64_t preemptions() const { return preemptions_; }
-  std::uint64_t responses_sent() const { return responses_sent_; }
-  std::uint64_t spurious() const { return interrupt_line_.spurious_count(); }
-  const hw::DdioStats& ddio() const { return ddio_; }
-
-  void on_preempted(sim::Duration remaining) {
-    ++preemptions_;
-    sim::Simulator& sim = server_.sim_;
-    if (sim.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(sim, current_->request_id, obs::SpanKind::kService, lane);
-      obs::begin_span(sim, current_->request_id, obs::SpanKind::kRequeue,
-                      lane);
-    }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-    descriptor.remaining_ps =
-        static_cast<std::uint64_t>(remaining.to_picos());
-    descriptor.preempt_count =
-        static_cast<std::uint16_t>(descriptor.preempt_count + 1);
-
-    const sim::Duration cost =
-        server_.params_.context_save_cost + rdma_post_cost(server_.params_);
-    core_.run(cost, [this, descriptor, seq = current_seq_]() {
-      post_cqe(proto::RdmaCqKind::kPreempted, seq, descriptor);
-      start_next();
-    });
-  }
 
  private:
-  void start_next() {
-    auto bytes = rq_.poll();
-    if (!bytes) {
-      idle_ = true;
-      return;
-    }
-    idle_ = false;
-    sim::Duration local_sojourn = sim::Duration::zero();
-    if (!arrivals_.empty()) {
-      local_sojourn = server_.sim_.now() - arrivals_.front();
-      arrivals_.pop_front();
-    }
-    auto entry = proto::RdmaRunQueueEntry::parse(*bytes);
-    if (!entry) {
-      ++server_.malformed_;
-      start_next();
-      return;
-    }
-    if (server_.reliable() && !seen_seqs_.insert(entry->seq).second) {
-      // A re-posted write for an entry already picked up: the RTO fired
-      // while this worker was stalled. Suppress the duplicate.
-      ++server_.reliable_.stats().duplicates;
-      start_next();
-      return;
-    }
-    if (!pending_sojourns_.empty()) {
-      current_sojourn_ = pending_sojourns_.front();
-      pending_sojourns_.pop_front();
-    } else {
-      current_sojourn_ = sim::Duration::zero();
-    }
-    current_seq_ = entry->seq;
-    current_local_sojourn_ = local_sojourn;
-    auto shared =
-        std::make_shared<proto::RequestDescriptor>(std::move(entry->descriptor));
-    // Descriptor pop + the payload's first touch (DDIO targeted L1, §5.2) +
-    // announcing "started" with one CQ entry — the posted write that plays
-    // the dispatch-ack role under reliable dispatch.
-    const auto queued_behind = static_cast<std::uint32_t>(rq_.depth());
-    sim::Duration prologue =
-        server_.params_.ddio_pop_cost + rdma_post_cost(server_.params_) +
-        hw::payload_touch_cost(server_.config_.placement,
-                               server_.params_.cache_costs, queued_behind,
-                               ddio_);
-    if (shared->preempt_count > 0) {
-      prologue += server_.params_.context_restore_cost;
-    }
-    core_.run(prologue, [this, shared]() {
-      current_ = *shared;
-      sim::Simulator& sim = server_.sim_;
-      sim.trace(sim::TraceCategory::kWorker, [&] {
-        return std::pair{"worker" + std::to_string(id_),
-                         "start " + std::to_string(shared->request_id)};
-      });
-      if (sim.span_enabled()) {
-        const auto lane = static_cast<std::uint32_t>(100 + id_);
-        obs::end_span(sim, shared->request_id, obs::SpanKind::kDispatch, lane);
-        obs::begin_span(sim, shared->request_id, obs::SpanKind::kService,
-                        lane);
+  bool fetch(proto::RequestDescriptor& out) override {
+    while (auto bytes = rq_.poll()) {
+      sim::Duration local_sojourn = sim::Duration::zero();
+      if (!arrivals_.empty()) {
+        local_sojourn = sim_.now() - arrivals_.front();
+        arrivals_.pop_front();
       }
-      post_cqe(proto::RdmaCqKind::kStarted, current_seq_, *shared);
-      core_.run_preemptible(
-          sim::Duration::picos(static_cast<std::int64_t>(shared->remaining_ps)),
-          [this]() { on_complete(); });
-    });
-  }
-
-  void on_complete() {
-    sim::Simulator& sim = server_.sim_;
-    sim.trace(sim::TraceCategory::kWorker, [&] {
-      return std::pair{"worker" + std::to_string(id_),
-                       "complete " + std::to_string(current_->request_id)};
-    });
-    if (sim.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(sim, current_->request_id, obs::SpanKind::kService, lane);
-      obs::begin_span(sim, current_->request_id, obs::SpanKind::kResponse,
-                      lane);
-    }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-    const sim::Duration cost =
-        server_.params_.response_build_cost + rdma_post_cost(server_.params_);
-    core_.run(cost, [this, descriptor, seq = current_seq_,
-                     local_sojourn = current_local_sojourn_]() {
-      net::DatagramAddress address;
-      address.src_mac = server_.pf_->mac();
-      address.dst_mac = descriptor.client_mac;
-      address.src_ip = server_.pf_->ip();
-      address.dst_ip = descriptor.client_ip;
-      address.src_port = kWorkerPort;
-      address.dst_port = descriptor.client_port;
-      auto& scratch = proto::serialization_scratch();
-      auto response = make_response(descriptor);
-      if (server_.config_.load_feedback) {
-        response.has_sojourn = true;
-        response.sojourn_ps =
-            static_cast<std::uint64_t>(current_sojourn_.to_picos());
+      auto entry = proto::RdmaRunQueueEntry::parse(*bytes);
+      if (!entry) {
+        ++server_.malformed_;
+        continue;
       }
-      response.serialize_into(scratch);
-      server_.pf_->transmit(net::make_udp_datagram(address, scratch));
-      ++responses_sent_;
-      const bool sample = server_.config_.overload.enabled &&
-                          server_.config_.overload.adaptive_k_enabled;
-      post_cqe(proto::RdmaCqKind::kCompleted, seq, descriptor, sample,
-               static_cast<std::uint64_t>(local_sojourn.to_picos()));
-      start_next();
-    });
+      if (server_.reliable() && !seen_seqs_.insert(entry->seq).second) {
+        // A re-posted write for an entry already picked up: the RTO fired
+        // while this worker was stalled. Suppress the duplicate.
+        ++server_.reliable_.stats().duplicates;
+        continue;
+      }
+      current_seq_ = entry->seq;
+      current_local_sojourn_ = local_sojourn;
+      out = std::move(entry->descriptor);
+      return true;
+    }
+    return false;
   }
-
-  /// Serializes and posts one CQ entry. The initiator cost was already
-  /// charged to this core by the caller's `core_.run` prologue/epilogue.
-  void post_cqe(proto::RdmaCqKind kind, std::uint64_t seq,
-                const proto::RequestDescriptor& descriptor,
-                bool has_sojourn = false, std::uint64_t sojourn_ps = 0) {
+  std::uint32_t queued_behind() const override {
+    return static_cast<std::uint32_t>(rq_.depth());
+  }
+  void notify(Note note, const proto::RequestDescriptor& descriptor) override {
     proto::RdmaCqEntry cqe;
-    cqe.seq = seq;
+    cqe.seq = current_seq_;
     cqe.worker_id = static_cast<std::uint32_t>(id_);
-    cqe.cq_kind = kind;
     cqe.descriptor = descriptor;
-    cqe.has_sojourn = has_sojourn;
-    cqe.sojourn_ps = sojourn_ps;
+    switch (note) {
+      case Note::kStarted: cqe.cq_kind = proto::RdmaCqKind::kStarted; break;
+      case Note::kPreempted: cqe.cq_kind = proto::RdmaCqKind::kPreempted; break;
+      case Note::kCompleted:
+        cqe.cq_kind = proto::RdmaCqKind::kCompleted;
+        // The run-queue wait rides the completion as the adaptive-K input.
+        cqe.has_sojourn = server_.config_.overload.enabled &&
+                          server_.config_.overload.adaptive_k_enabled;
+        cqe.sojourn_ps =
+            static_cast<std::uint64_t>(current_local_sojourn_.to_picos());
+        break;
+    }
     auto& scratch = proto::serialization_scratch();
     cqe.serialize_into(scratch);
     server_.cq_.post_write(scratch);
@@ -248,28 +135,19 @@ class RainServer::Worker {
 
   RainServer& server_;
   std::size_t id_;
-  hw::CpuCore core_;
-  hw::InterruptLine interrupt_line_;
   net::RdmaQueuePair rq_;
-  bool idle_ = true;
-  std::optional<proto::RequestDescriptor> current_;
-  std::uint64_t current_seq_ = 0;
   std::deque<sim::TimePoint> arrivals_;
-  std::deque<sim::Duration> pending_sojourns_;
   std::unordered_set<std::uint64_t> seen_seqs_;
-  sim::Duration current_sojourn_;        // central-queue delay (ToR echo)
+  std::uint64_t current_seq_ = 0;
   sim::Duration current_local_sojourn_;  // run-queue wait (adaptive-K input)
-  std::uint64_t preemptions_ = 0;
-  std::uint64_t responses_sent_ = 0;
-  hw::DdioStats ddio_;
 };
 
 // ------------------------------------------------------------- the server
 
 RainServer::RainServer(sim::Simulator& sim, net::EthernetSwitch& network,
                        const ModelParams& params, Config config)
-    : sim_(sim),
-      network_(network),
+    : FaultableServer(network, config.worker_count),
+      sim_(sim),
       params_(params),
       config_(config),
       nic_(sim, nic_config(params)),
@@ -277,7 +155,8 @@ RainServer::RainServer(sim::Simulator& sim, net::EthernetSwitch& network,
       cq_(sim, rdma_config(params)),
       central_(config.queue_policy, config.overload, config.tenant),
       status_(config.worker_count, config.outstanding_per_worker),
-      running_(config.worker_count),
+      slice_(sim, config.time_slice, config.preemption_enabled,
+             config.worker_count, *this),
       adaptive_k_(config.overload, config.worker_count,
                   config.outstanding_per_worker),
       reliable_(sim, config.reliability, status_,
@@ -357,12 +236,7 @@ void RainServer::scheduler_handle(net::Packet packet) {
   const auto verdict = central_.admit(request->tenant, 0);
   if (!verdict.admitted) {
     if (sim_.span_enabled()) {
-      const sim::TimePoint rx = packet.rx_at();
-      obs::end_span_at(sim_, rx, request->request_id,
-                       obs::SpanKind::kClientWire, 0);
-      obs::begin_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kNicRx, 0);
-      obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
+      obs::record_nic_rx(sim_, packet.rx_at(), request->request_id, 0);
       obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
                       0);
     }
@@ -371,12 +245,7 @@ void RainServer::scheduler_handle(net::Packet packet) {
     return;
   }
   if (sim_.span_enabled()) {
-    const sim::TimePoint rx = packet.rx_at();
-    obs::end_span_at(sim_, rx, request->request_id,
-                     obs::SpanKind::kClientWire, 0);
-    obs::begin_span_at(sim_, rx, request->request_id, obs::SpanKind::kNicRx,
-                       0);
-    obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
+    obs::record_nic_rx(sim_, packet.rx_at(), request->request_id, 0);
     obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue,
                     0);
   }
@@ -455,26 +324,17 @@ void RainServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
     return;
   }
   if (reliable()) reliable_.note_alive(worker);
-  RunningInfo& info = running_[worker];
+  const std::uint64_t id = cqe.descriptor.request_id;
   switch (cqe.cq_kind) {
     case proto::RdmaCqKind::kStarted:
-      info.request_id = cqe.descriptor.request_id;
-      info.started_at = sim_.now();
-      info.running = true;
-      info.preempt_in_flight = false;
-      if (config_.preemption_enabled) {
-        schedule_slice_check(worker, cqe.descriptor.request_id);
-      }
+      slice_.start(worker, id);
       // The kStarted CQE plays the dispatch-ack role.
       if (reliable()) reliable_.ack(worker, cqe.seq);
       break;
     case proto::RdmaCqKind::kCompleted:
-      if (reliable() &&
-          !reliable_.retire(worker, cqe.descriptor.request_id, true)) {
-        break;
-      }
+      if (reliable() && !reliable_.retire(worker, id, true)) break;
       status_.note_retired(worker, sim_.now());
-      if (info.request_id == cqe.descriptor.request_id) info.running = false;
+      if (slice_.token(worker) == id) slice_.stop(worker);
       if (config_.overload.enabled && config_.overload.adaptive_k_enabled &&
           cqe.has_sojourn) {
         fold_sojourn(worker, sim::Duration::picos(
@@ -482,12 +342,9 @@ void RainServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
       }
       break;
     case proto::RdmaCqKind::kPreempted:
-      if (reliable() &&
-          !reliable_.retire(worker, cqe.descriptor.request_id, false)) {
-        break;
-      }
+      if (reliable() && !reliable_.retire(worker, id, false)) break;
       status_.note_retired(worker, sim_.now());
-      if (info.request_id == cqe.descriptor.request_id) info.running = false;
+      if (slice_.token(worker) == id) slice_.stop(worker);
       central_.push_preempted(cqe.descriptor, sim_.now());
       break;
   }
@@ -507,31 +364,9 @@ void RainServer::fold_sojourn(std::size_t worker, sim::Duration sojourn) {
   }
 }
 
-void RainServer::schedule_slice_check(std::size_t worker,
-                                      std::uint64_t request_id) {
-  sim_.after(config_.time_slice, [this, worker, request_id]() {
-    RunningInfo& info = running_[worker];
-    if (!info.running || info.request_id != request_id ||
-        info.preempt_in_flight) {
-      return;
-    }
-    if (central_.empty()) {
-      // Informed: nothing waiting, keep running and re-check later.
-      schedule_slice_check(worker, request_id);
-      return;
-    }
-    issue_preempt(worker);
-  });
-}
-
-void RainServer::issue_preempt(std::size_t worker) {
-  running_[worker].preempt_in_flight = true;
-  asic_.run(params_.asic_dispatch_cost, [this, worker]() {
-    workers_[worker]->interrupt_line().send(
-        [this, worker](sim::Duration remaining) {
-          workers_[worker]->on_preempted(remaining);
-        });
-  });
+void RainServer::send_preempt(std::size_t worker) {
+  asic_.run(params_.asic_dispatch_cost,
+            [this, worker]() { workers_[worker]->interrupt(); });
 }
 
 void RainServer::post_run_queue_entry(
@@ -546,10 +381,6 @@ void RainServer::post_run_queue_entry(
 }
 
 // ----------------------------------------------------- fault::FaultSurface
-
-void RainServer::inject_ingress_loss(double probability, std::uint64_t seed) {
-  network_.set_port_loss(pf_->mac(), probability, seed);
-}
 
 void RainServer::inject_dispatch_loss(double probability,
                                       std::uint64_t /*seed*/) {
@@ -569,40 +400,20 @@ void RainServer::inject_dispatch_loss(double probability,
   }
 }
 
-void RainServer::inject_ingress_degrade(double factor) {
-  network_.set_port_degrade(pf_->mac(), factor);
+hw::CpuCore& RainServer::worker_core(std::uint32_t worker) {
+  return workers_[worker]->core();
 }
 
-void RainServer::inject_worker_stall(std::uint32_t worker,
-                                     sim::Duration duration) {
-  workers_[worker]->mutable_core().stall_for(duration);
-}
-
-void RainServer::inject_worker_crash(std::uint32_t worker) {
-  workers_[worker]->mutable_core().stall();
-}
-
-void RainServer::inject_worker_resume(std::uint32_t worker) {
-  workers_[worker]->mutable_core().resume();
+std::uint64_t RainServer::drops() const {
+  return nic_.rx_unknown_mac_drops() + malformed_ +
+         pf_->ring(0).stats().dropped;
 }
 
 ServerStats RainServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
   stats.requests_received = requests_received_;
-  for (const auto& worker : workers_) {
-    stats.responses_sent += worker->responses_sent();
-    stats.preemptions += worker->preemptions();
-    stats.spurious_interrupts += worker->spurious();
-    stats.ddio.l1_touches += worker->ddio().l1_touches;
-    stats.ddio.llc_touches += worker->ddio().llc_touches;
-    stats.ddio.dram_touches += worker->ddio().dram_touches;
-    if (elapsed > sim::Duration::zero()) {
-      stats.worker_utilization.push_back(worker->core().stats().busy /
-                                         elapsed);
-    }
-  }
-  stats.drops =
-      nic_.rx_unknown_mac_drops() + malformed_ + pf_->ring(0).stats().dropped;
+  for (const auto& worker : workers_) worker->counters().add_to(stats, elapsed);
+  stats.drops = drops();
   stats.reliability = reliable_.stats();
   central_.add_to(stats);
   stats.overload.k_shrinks = adaptive_k_.shrinks();
@@ -614,12 +425,11 @@ ServerTelemetry RainServer::telemetry() const {
   ServerTelemetry t;
   central_.add_to(t);
   t.outstanding = status_.total_outstanding();
-  t.drops = malformed_ + pf_->ring(0).stats().dropped;
+  t.drops = drops();
   t.retransmits = reliable_.stats().retransmits;
   t.abandoned = reliable_.stats().abandoned;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    t.preemptions += workers_[i]->preemptions();
-    t.worker_busy.push_back(workers_[i]->core().stats().busy);
+    workers_[i]->counters().add_to(t);
     t.worker_capacity.push_back(status_.entry(i).capacity);
   }
   return t;

@@ -35,13 +35,13 @@
 
 #include "core/central_queue.h"
 #include "core/core_status.h"
+#include "core/host_worker.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/reliable_dispatch.h"
 #include "core/server.h"
-#include "fault/fault_surface.h"
+#include "core/slice_timer.h"
 #include "hw/cpu_core.h"
-#include "hw/interrupt.h"
 #include "net/ethernet_switch.h"
 #include "net/nic.h"
 #include "net/rdma.h"
@@ -51,7 +51,7 @@
 
 namespace nicsched::core {
 
-class RainServer final : public Server, public fault::FaultSurface {
+class RainServer final : public FaultableServer, private SliceTimer::Hooks {
  public:
   struct Config {
     std::size_t worker_count = 4;
@@ -99,38 +99,24 @@ class RainServer final : public Server, public fault::FaultSurface {
 
   const CoreStatusTable& core_status() const { return status_; }
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  /// No-op: one-sided writes into host memory are a lossless channel; the
-  /// reliability layer exists for worker stalls/crashes, not frame loss.
+  /// One-sided writes into host memory cannot drop frames; the reliability
+  /// layer exists for worker stalls/crashes. A loss injection is counted in
+  /// ReliabilityStats::loss_injections_ignored and otherwise ignored.
   void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
 
  private:
   class Worker;
 
-  struct RunningInfo {
-    std::uint64_t request_id = 0;
-    sim::TimePoint started_at;
-    bool running = false;
-    bool preempt_in_flight = false;
-  };
+  hw::CpuCore& worker_core(std::uint32_t worker) override;
+  bool work_waiting() const override { return !central_.empty(); }
+  void send_preempt(std::size_t worker) override;
 
   void scheduler_handle(net::Packet packet);
   void scheduler_kick();
   void scheduler_step();
   void handle_cqe(const proto::RdmaCqEntry& cqe);
-  void schedule_slice_check(std::size_t worker, std::uint64_t request_id);
-  void issue_preempt(std::size_t worker);
   void fold_sojourn(std::size_t worker, sim::Duration sojourn);
+  std::uint64_t drops() const;
 
   bool reliable() const { return config_.reliability.enabled; }
   void post_run_queue_entry(std::size_t worker,
@@ -138,7 +124,6 @@ class RainServer final : public Server, public fault::FaultSurface {
                             std::uint64_t seq);
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 
@@ -154,7 +139,7 @@ class RainServer final : public Server, public fault::FaultSurface {
 
   CentralQueue central_;
   CoreStatusTable status_;
-  std::vector<RunningInfo> running_;
+  SliceTimer slice_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
 

@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_surface.h"
+#include "hw/cpu_core.h"
 #include "hw/ddio.h"
+#include "net/ethernet_switch.h"
 #include "net/mac_address.h"
 #include "net/packet.h"
 #include "overload/overload.h"
@@ -15,10 +18,6 @@
 #include "tenant/tenant.h"
 
 #include <cstddef>
-
-namespace nicsched::fault {
-class FaultSurface;
-}  // namespace nicsched::fault
 
 namespace nicsched::core {
 
@@ -118,6 +117,34 @@ struct ServerTelemetry {
   std::vector<std::size_t> tenant_depths;
 };
 
+/// One worker core's counters, folded into a family's reports the same way
+/// whichever transport the worker sits behind.
+struct WorkerCounters {
+  std::uint64_t responses_sent = 0;
+  std::uint64_t preemptions = 0;
+  std::uint64_t spurious_interrupts = 0;
+  hw::DdioStats ddio;
+  sim::Duration busy;
+
+  /// Adds the counters, plus a utilization row when `elapsed` is positive.
+  void add_to(ServerStats& stats, sim::Duration elapsed) const {
+    stats.responses_sent += responses_sent;
+    stats.preemptions += preemptions;
+    stats.spurious_interrupts += spurious_interrupts;
+    stats.ddio.l1_touches += ddio.l1_touches;
+    stats.ddio.llc_touches += ddio.llc_touches;
+    stats.ddio.dram_touches += ddio.dram_touches;
+    if (elapsed > sim::Duration::zero()) {
+      stats.worker_utilization.push_back(busy / elapsed);
+    }
+  }
+  /// Adds the preemption count and a cumulative busy-time row.
+  void add_to(ServerTelemetry& telemetry) const {
+    telemetry.preemptions += preemptions;
+    telemetry.worker_busy.push_back(busy);
+  }
+};
+
 class Server {
  public:
   virtual ~Server() = default;
@@ -139,6 +166,47 @@ class Server {
   /// The server's fault-injection surface, or nullptr if it exposes none.
   /// run_experiment uses this to install a configured FaultSchedule.
   virtual fault::FaultSurface* fault_surface() { return nullptr; }
+};
+
+/// A server whose fault surface is its own ingress port plus its worker
+/// cores: loss and degrade land on the switch port toward ingress_mac(),
+/// stall/crash/resume on worker_core(). Dispatch loss is a no-op unless a
+/// family's dispatch path crosses a lossy fabric and overrides it.
+class FaultableServer : public Server, public fault::FaultSurface {
+ public:
+  fault::FaultSurface* fault_surface() override { return this; }
+  std::uint32_t fault_worker_count() const override { return worker_count_; }
+  void inject_ingress_loss(double probability, std::uint64_t seed) override {
+    network_.set_port_loss(ingress_mac(), probability, seed);
+  }
+  void inject_dispatch_loss(double /*probability*/,
+                            std::uint64_t /*seed*/) override {}
+  void inject_ingress_degrade(double factor) override {
+    network_.set_port_degrade(ingress_mac(), factor);
+  }
+  void inject_worker_stall(std::uint32_t worker,
+                           sim::Duration duration) override {
+    worker_core(worker).stall_for(duration);
+  }
+  void inject_worker_crash(std::uint32_t worker) override {
+    worker_core(worker).stall();
+  }
+  void inject_worker_resume(std::uint32_t worker) override {
+    worker_core(worker).resume();
+  }
+
+ protected:
+  FaultableServer(net::EthernetSwitch& network, std::size_t worker_count)
+      : network_(network),
+        worker_count_(static_cast<std::uint32_t>(worker_count)) {}
+
+  /// The core a FaultSchedule's worker index names.
+  virtual hw::CpuCore& worker_core(std::uint32_t worker) = 0;
+
+  net::EthernetSwitch& network_;
+
+ private:
+  std::uint32_t worker_count_;
 };
 
 /// Builds the internal descriptor for a freshly received client request,

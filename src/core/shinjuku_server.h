@@ -25,20 +25,20 @@
 
 #include "core/central_queue.h"
 #include "core/core_status.h"
+#include "core/host_worker.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
-#include "fault/fault_surface.h"
+#include "core/slice_timer.h"
 #include "hw/channel.h"
 #include "hw/cpu_core.h"
-#include "hw/interrupt.h"
 #include "net/ethernet_switch.h"
 #include "net/nic.h"
 #include "sim/simulator.h"
 
 namespace nicsched::core {
 
-class ShinjukuServer final : public Server, public fault::FaultSurface {
+class ShinjukuServer final : public FaultableServer {
  public:
   struct Config {
     std::size_t worker_count = 3;
@@ -81,20 +81,6 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
   ServerStats stats(sim::Duration elapsed) const override;
   ServerTelemetry telemetry() const override;
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  /// No-op: dispatcher↔worker traffic here is lossless cache-line IPC.
-  void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
-
   std::size_t group_count() const { return groups_.size(); }
   /// Requests a group's networker has accepted; exposes RSS imbalance
   /// between dispatcher groups.
@@ -104,30 +90,21 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
  private:
   class Worker;
 
-  struct Note {
+  struct StatusNote {
     std::size_t worker = 0;  // index within the group
     bool preempted = false;
-    proto::RequestDescriptor descriptor;  // valid when preempted
-    /// Which request the note is about; reliable mode matches it against
-    /// RunningInfo::request_id to discard stale notes from re-steered work.
-    std::uint64_t request_id = 0;
-  };
-
-  /// Dispatcher-side view of what a worker is running, for slice tracking.
-  struct RunningInfo {
-    std::uint64_t epoch = 0;  // bumps on every assignment to the worker
-    sim::TimePoint assigned_at;
-    bool active = false;
-    bool preempt_in_flight = false;
-    /// Reliable mode: what was handed out, kept so the liveness watchdog
-    /// can re-steer the request if the worker dies holding it.
-    std::uint64_t request_id = 0;
+    /// The request the note is about (requeued when preempted); reliable
+    /// mode matches its id against `Group::held` to discard stale notes
+    /// from re-steered work.
     proto::RequestDescriptor descriptor;
   };
 
   /// One networker+dispatcher pair with its worker partition.
-  struct Group {
-    explicit Group(ShinjukuServer& server, std::size_t index);
+  struct Group final : SliceTimer::Hooks {
+    Group(ShinjukuServer& server, std::size_t index, std::size_t worker_count);
+
+    bool work_waiting() const override { return !central.empty(); }
+    void send_preempt(std::size_t worker) override;
 
     ShinjukuServer& server;
     std::size_t index;
@@ -135,42 +112,44 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
     hw::CpuCore dispatcher_core;
     std::unique_ptr<PacketPump> networker_pump;
     hw::MessageChannel<proto::RequestDescriptor> intake_channel;
-    hw::MessageChannel<Note> note_channel;
+    hw::MessageChannel<StatusNote> note_channel;
     bool pumping = false;
 
     /// Each dispatcher pair queues and admits against its own backlog, so an
     /// overloaded RSS bucket rejects while others accept.
     CentralQueue central;
     CoreStatusTable status;
-    std::vector<RunningInfo> running;
-    std::vector<std::unique_ptr<Worker>> workers;
+    SliceTimer slice;  // token = per-worker assignment epoch
+    std::vector<Worker*> workers;  // in-group slot order
+    /// Reliable mode: what each worker was handed, kept so the liveness
+    /// watchdog can re-steer the request if the worker dies holding it.
+    std::vector<proto::RequestDescriptor> held;
 
     std::uint64_t requests_received = 0;
     std::uint64_t malformed = 0;
-    std::uint64_t preempts_issued = 0;
   };
 
   void networker_handle(Group& group, net::Packet packet);
   void dispatcher_kick(Group& group);
   void dispatcher_step(Group& group);
 
-  void schedule_slice_check(Group& group, std::size_t worker,
-                            std::uint64_t epoch);
   void maybe_preempt_for_waiting_work(Group& group);
-  void issue_preempt(Group& group, std::size_t worker);
 
   bool reliable() const { return config_.reliability.enabled; }
   void arm_liveness(Group& group, std::size_t worker, std::uint64_t epoch);
-  hw::CpuCore& worker_core_at(std::uint32_t worker);
+  // Fault surface: dispatch loss stays the base no-op — dispatcher↔worker
+  // traffic here is lossless cache-line IPC.
+  hw::CpuCore& worker_core(std::uint32_t worker) override;
+  std::uint64_t drops() const;
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 
   net::Nic nic_;
   net::NicInterface* pf_ = nullptr;
   std::vector<std::unique_ptr<Group>> groups_;
+  std::vector<std::unique_ptr<Worker>> workers_;  // global order
   ReliabilityStats rel_;
 };
 

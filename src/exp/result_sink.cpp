@@ -677,37 +677,28 @@ std::optional<std::vector<ResultRow>> parse_csv_rows(std::string_view text,
       continue;
     }
     auto cells = split(line, ',');
-    // Dispatch on the schema cell: versioned rows (schema >= 3) lead with a
-    // bare integer; legacy unversioned rows lead with the series name. A
-    // series named like an integer would be misread — series labels have
-    // always been system names, so the ambiguity is theoretical. Popping the
-    // schema cell lets every legacy column keep its historical index.
-    std::uint64_t schema = 0;
-    if (!cells.empty() && !cells[0].empty() &&
-        cells[0].find_first_not_of("0123456789") == std::string::npos) {
-      schema = std::strtoull(cells[0].c_str(), nullptr, 10);
-      cells.erase(cells.begin());
+    // Every row leads with its bare-integer schema cell; popping it leaves
+    // each payload column at its historical index.
+    if (cells.empty() || cells[0].empty() ||
+        cells[0].find_first_not_of("0123456789") != std::string::npos) {
+      if (error != nullptr) {
+        *error = "row has no leading schema version cell (unversioned "
+                 "pre-schema rows are not supported)";
+      }
+      return std::nullopt;
     }
-    if (schema == 0) {
-      // 39 cells = pre-rack exports (still parseable); 52 = rack-era.
-      if (cells.size() != 39 && cells.size() != 52) {
-        if (error != nullptr) {
-          *error =
-              "expected 39 or 52 cells, got " + std::to_string(cells.size());
-        }
-        return std::nullopt;
-      }
-    } else if (schema == kCsvSchemaVersion) {
-      if (cells.size() != 53) {
-        if (error != nullptr) {
-          *error = "schema 3 expects 53 payload cells, got " +
-                   std::to_string(cells.size());
-        }
-        return std::nullopt;
-      }
-    } else {
+    const std::uint64_t schema = std::strtoull(cells[0].c_str(), nullptr, 10);
+    cells.erase(cells.begin());
+    if (schema != kCsvSchemaVersion) {
       if (error != nullptr) {
         *error = "unsupported schema version " + std::to_string(schema);
+      }
+      return std::nullopt;
+    }
+    if (cells.size() != 53) {
+      if (error != nullptr) {
+        *error = "schema 3 expects 53 payload cells, got " +
+                 std::to_string(cells.size());
       }
       return std::nullopt;
     }
@@ -773,42 +764,40 @@ std::optional<std::vector<ResultRow>> parse_csv_rows(std::string_view text,
         std::strtoull(cells[37].c_str(), nullptr, 10);
     row.server.overload.k_restores =
         std::strtoull(cells[38].c_str(), nullptr, 10);
-    if (cells.size() >= 52) {
-      const std::uint64_t tor_hosts =
-          std::strtoull(cells[39].c_str(), nullptr, 10);
-      if (tor_hosts > 0) {
-        rack::RackStats rack_stats;
-        rack_stats.requests_forwarded =
-            std::strtoull(cells[40].c_str(), nullptr, 10);
-        rack_stats.responses_forwarded =
-            std::strtoull(cells[41].c_str(), nullptr, 10);
-        rack_stats.rejects_forwarded =
-            std::strtoull(cells[42].c_str(), nullptr, 10);
-        rack_stats.other_forwarded =
-            std::strtoull(cells[43].c_str(), nullptr, 10);
-        rack_stats.malformed_dropped =
-            std::strtoull(cells[44].c_str(), nullptr, 10);
-        rack_stats.affinity_hits =
-            std::strtoull(cells[45].c_str(), nullptr, 10);
-        rack_stats.affinity_expired =
-            std::strtoull(cells[46].c_str(), nullptr, 10);
-        rack_stats.unknown_responses =
-            std::strtoull(cells[47].c_str(), nullptr, 10);
-        rack_stats.informed_decisions =
-            std::strtoull(cells[48].c_str(), nullptr, 10);
-        rack_stats.stale_decisions =
-            std::strtoull(cells[49].c_str(), nullptr, 10);
-        rack_stats.feedback_samples =
-            std::strtoull(cells[50].c_str(), nullptr, 10);
-        rack_stats.feedback_discarded_dead =
-            std::strtoull(cells[51].c_str(), nullptr, 10);
-        // CSV carries the aggregates only; the per-host breakdown lives in
-        // the JSON export. Size the hosts vector so host_count survives.
-        rack_stats.hosts.resize(tor_hosts);
-        row.rack = std::move(rack_stats);
-      }
+    const std::uint64_t tor_hosts =
+        std::strtoull(cells[39].c_str(), nullptr, 10);
+    if (tor_hosts > 0) {
+      rack::RackStats rack_stats;
+      rack_stats.requests_forwarded =
+          std::strtoull(cells[40].c_str(), nullptr, 10);
+      rack_stats.responses_forwarded =
+          std::strtoull(cells[41].c_str(), nullptr, 10);
+      rack_stats.rejects_forwarded =
+          std::strtoull(cells[42].c_str(), nullptr, 10);
+      rack_stats.other_forwarded =
+          std::strtoull(cells[43].c_str(), nullptr, 10);
+      rack_stats.malformed_dropped =
+          std::strtoull(cells[44].c_str(), nullptr, 10);
+      rack_stats.affinity_hits =
+          std::strtoull(cells[45].c_str(), nullptr, 10);
+      rack_stats.affinity_expired =
+          std::strtoull(cells[46].c_str(), nullptr, 10);
+      rack_stats.unknown_responses =
+          std::strtoull(cells[47].c_str(), nullptr, 10);
+      rack_stats.informed_decisions =
+          std::strtoull(cells[48].c_str(), nullptr, 10);
+      rack_stats.stale_decisions =
+          std::strtoull(cells[49].c_str(), nullptr, 10);
+      rack_stats.feedback_samples =
+          std::strtoull(cells[50].c_str(), nullptr, 10);
+      rack_stats.feedback_discarded_dead =
+          std::strtoull(cells[51].c_str(), nullptr, 10);
+      // CSV carries the aggregates only; the per-host breakdown lives in
+      // the JSON export. Size the hosts vector so host_count survives.
+      rack_stats.hosts.resize(tor_hosts);
+      row.rack = std::move(rack_stats);
     }
-    if (schema >= 3 && !cells[52].empty()) {
+    if (!cells[52].empty()) {
       for (const std::string& packed : split(cells[52], ';')) {
         const auto fields = split(packed, ':');
         if (fields.size() != 7) {

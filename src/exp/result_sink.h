@@ -92,10 +92,11 @@ class JsonResultSink : public ResultSink {
   std::string title_;
 };
 
-/// Version stamped into the leading `schema` cell of every CSV row. History:
-/// unversioned 39-cell rows (pre-rack), unversioned 52-cell rows (rack-era),
-/// then schema 3 = 53 payload cells (52 legacy + packed per-tenant cell)
-/// behind the version marker. parse_csv_rows reads all three shapes.
+/// Version stamped into the leading `schema` cell of every CSV row. Schema 3
+/// = 53 payload cells (52 rack-era columns + the packed per-tenant cell)
+/// behind the version marker. parse_csv_rows reads only this version; an
+/// unversioned row (the pre-schema 39- and 52-cell exports) or another
+/// version is a parse error.
 inline constexpr std::uint64_t kCsvSchemaVersion = 3;
 
 /// One header line plus one line per row; metrics and checks are not part of

@@ -69,4 +69,15 @@ inline void end_span_at(sim::Simulator& sim, sim::TimePoint when,
               /*begin=*/false, component);
 }
 
+/// The ingress pair a server records on parsing a client request: the
+/// client-wire span ends at the NIC's arrival stamp `rx` and NIC RX runs
+/// from `rx` to now. The caller then begins whichever span follows.
+inline void record_nic_rx(sim::Simulator& sim, sim::TimePoint rx,
+                          std::uint64_t request_id,
+                          std::uint32_t component = 0) {
+  end_span_at(sim, rx, request_id, SpanKind::kClientWire, component);
+  begin_span_at(sim, rx, request_id, SpanKind::kNicRx, component);
+  end_span(sim, request_id, SpanKind::kNicRx, component);
+}
+
 }  // namespace nicsched::obs

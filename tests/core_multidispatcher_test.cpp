@@ -5,6 +5,7 @@
 
 #include "core/shinjuku_server.h"
 #include "core/testbed.h"
+#include "fault/fault_schedule.h"
 
 namespace nicsched::core {
 namespace {
@@ -88,6 +89,30 @@ TEST(MultiDispatcher, PreemptionStillWorksPerGroup) {
   const auto result = run_experiment(config);
   EXPECT_GT(result.server.preemptions, 0u);
   EXPECT_EQ(result.summary.completed, result.summary.issued);
+}
+
+TEST(MultiDispatcher, PerWorkerRowsFollowGlobalWorkerOrder) {
+  // Workers are placed round-robin (worker w sits in group w % 2), and a
+  // FaultSchedule names them by that global index. The per-worker rows must
+  // use the same order, so row 1 is the crashed worker 1 — not worker 2,
+  // which a group-major listing would put there.
+  ExperimentConfig config;
+  config.system = SystemKind::kShinjuku;
+  config.worker_count = 4;
+  config.dispatcher_count = 2;
+  config.service = std::make_shared<workload::FixedDistribution>(
+      sim::Duration::micros(5));
+  config.offered_rps = 200e3;
+  config.measure = sim::Duration::millis(5);
+  config.with_faults(
+      fault::FaultSchedule{}.crash_worker(sim::TimePoint::origin(), 1));
+  const auto result = run_experiment(config);
+  const auto& utilization = result.server.worker_utilization;
+  ASSERT_EQ(utilization.size(), 4u);
+  EXPECT_EQ(utilization[1], 0.0);
+  EXPECT_GT(utilization[0], 0.0);
+  EXPECT_GT(utilization[2], 0.0);
+  EXPECT_GT(utilization[3], 0.0);
 }
 
 }  // namespace

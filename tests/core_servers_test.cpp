@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "core/offload_server.h"
+#include "core/server_factory.h"
 #include "core/shinjuku_server.h"
 #include "core/testbed.h"
 #include "net/ethernet_switch.h"
@@ -372,6 +373,51 @@ TEST(OffloadServer, MalformedTrafficIsCountedNotCrashing) {
   EXPECT_EQ(stats.requests_received, 0u);
   EXPECT_EQ(stats.drops, 2u);
 }
+
+class EveryFamily : public ::testing::TestWithParam<SystemKind> {};
+
+TEST_P(EveryFamily, TelemetryAndStatsCountTheSameDrops) {
+  // Each family defines its drop count once; the live telemetry and the
+  // run-end stats must agree on it once the traffic has settled.
+  sim::Simulator sim;
+  const ModelParams params = ModelParams::defaults();
+  net::EthernetSwitch network(sim, params.switch_forward_latency);
+  HostSpec spec;
+  spec.system = GetParam();
+  spec.worker_count = 2;
+  const auto server = make_host_server(spec, sim, network);
+
+  net::DatagramAddress address;
+  address.src_mac = net::MacAddress::from_index(1);
+  address.dst_mac = server->ingress_mac();
+  address.src_ip = net::Ipv4Address::from_index(1);
+  address.dst_ip = server->ingress_ip();
+  address.src_port = 1234;
+  address.dst_port = server->port();
+  const std::vector<std::uint8_t> garbage = {1, 2, 3, 4, 5};
+  for (int i = 0; i < 3; ++i) {
+    address.src_port = static_cast<std::uint16_t>(1234 + i);
+    network.ingress().deliver(net::make_udp_datagram(address, garbage));
+  }
+
+  sim.run_until(sim::TimePoint::origin() + sim::Duration::millis(1));
+  const ServerStats stats = server->stats(sim::Duration::millis(1));
+  EXPECT_EQ(stats.drops, 3u);
+  EXPECT_EQ(server->telemetry().drops, stats.drops);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, EveryFamily,
+    ::testing::Values(SystemKind::kShinjuku, SystemKind::kShinjukuOffload,
+                      SystemKind::kRss, SystemKind::kIdealNic,
+                      SystemKind::kRain),
+    [](const ::testing::TestParamInfo<SystemKind>& param_info) {
+      std::string name = to_string(param_info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(ShinjukuServer, FifoOrderWithSingleWorker) {
   // One worker, uniform arrivals faster than service: responses must come

@@ -380,59 +380,6 @@ TEST(ResultSink, CsvRoundTripsRackAggregates) {
   expect_rack_aggregates_identical(*(*rows)[1].rack, *reference.rack);
 }
 
-// Fabricates unversioned legacy lines from current writer output: drops the
-// leading schema cell and `trailing` cells off the end of header and row.
-std::string fabricate_legacy_csv(const std::string& text, int trailing) {
-  auto strip_first_cell = [](std::string line) {
-    return line.substr(line.find(',') + 1);
-  };
-  auto strip_last_cells = [](std::string line, int count) {
-    for (int i = 0; i < count; ++i) line.erase(line.rfind(','));
-    return line;
-  };
-  const std::size_t newline = text.find('\n');
-  const std::string header = strip_last_cells(
-      strip_first_cell(text.substr(0, newline)), trailing);
-  const std::string row = strip_last_cells(
-      strip_first_cell(text.substr(newline + 1, text.size() - newline - 2)),
-      trailing);
-  return header + "\n" + row + "\n";
-}
-
-TEST(ResultSink, CsvParsesLegacyPreRackRows) {
-  // A 39-cell row from a pre-rack export must still parse (rack absent):
-  // strip the schema cell plus 14 trailing cells (13 rack + tenants).
-  exp::CsvResultSink sink;
-  sink.add(sample_row());
-  std::ostringstream out;
-  sink.write(out);
-  const std::string legacy = fabricate_legacy_csv(out.str(), 14);
-
-  std::string error;
-  const auto rows = exp::parse_csv_rows(legacy, &error);
-  ASSERT_TRUE(rows.has_value()) << error;
-  ASSERT_EQ(rows->size(), 1u);
-  expect_row_identical((*rows)[0], sample_row());
-  EXPECT_FALSE((*rows)[0].rack.has_value());
-}
-
-TEST(ResultSink, CsvParsesLegacyRackEraRows) {
-  // A 52-cell rack-era row (no schema cell, no tenants cell) still parses.
-  exp::CsvResultSink sink;
-  sink.add(rack_row());
-  std::ostringstream out;
-  sink.write(out);
-  const std::string legacy = fabricate_legacy_csv(out.str(), 1);
-
-  std::string error;
-  const auto rows = exp::parse_csv_rows(legacy, &error);
-  ASSERT_TRUE(rows.has_value()) << error;
-  ASSERT_EQ(rows->size(), 1u);
-  ASSERT_TRUE((*rows)[0].rack.has_value());
-  const exp::ResultRow reference = rack_row();
-  expect_rack_aggregates_identical(*(*rows)[0].rack, *reference.rack);
-}
-
 exp::ResultRow tenant_row() {
   exp::ResultRow row = sample_row();
   row.series = "tenant mix";
@@ -502,6 +449,15 @@ TEST(ResultSink, CsvRejectsUnsupportedSchemaVersion) {
   std::string error;
   EXPECT_FALSE(exp::parse_csv_rows(text, &error).has_value());
   EXPECT_NE(error.find("unsupported schema"), std::string::npos) << error;
+
+  // An unversioned row — the pre-schema exports led with the series name —
+  // is refused loudly rather than read with shifted columns.
+  const std::string unversioned = out.str().substr(0, newline + 1) +
+                                  out.str().substr(newline + 1 + 2);
+  error.clear();
+  EXPECT_FALSE(exp::parse_csv_rows(unversioned, &error).has_value());
+  EXPECT_NE(error.find("no leading schema version cell"), std::string::npos)
+      << error;
 }
 
 TEST(ResultSink, JsonRejectsMalformedInput) {
