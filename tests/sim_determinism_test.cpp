@@ -64,11 +64,22 @@ sim::TimePoint at_us(std::int64_t us) {
   return sim::TimePoint::origin() + sim::Duration::micros(us);
 }
 
-/// `faulted` runs reliable dispatch under a fixed schedule that crashes
-/// worker 1 mid-window and resumes it before the drain, so the digest also
-/// covers the liveness verdict, the re-steer and the revival.
+enum class Scenario {
+  /// Two workers at K=2, 150 kRPS bimodal, a 2 ms window.
+  kShort,
+  /// kShort with reliable dispatch under a fixed schedule that crashes
+  /// worker 1 mid-window and resumes it before the drain, so the digest
+  /// also covers the liveness verdict, the re-steer and the revival.
+  kFaulted,
+  /// Four workers at K=1, bimodal 5/100 us in 10 us slices at 600 kRPS for
+  /// 20 ms: thousands of preemptions and same-instant event ties, so the
+  /// digest pins the order of a worker's core operations, not only their
+  /// timestamps.
+  kLongPreempting,
+};
+
 std::uint64_t run_digest(core::SystemKind kind, std::uint64_t seed,
-                         bool faulted = false) {
+                         Scenario scenario = Scenario::kShort) {
   stats::ResponseLog log;
   obs::CaptureOptions capture;
   capture.enabled = true;
@@ -76,18 +87,21 @@ std::uint64_t run_digest(core::SystemKind kind, std::uint64_t seed,
   capture.metric_cadence = sim::Duration::zero();  // spans only
   capture.label = "determinism";
 
+  const bool faulted = scenario == Scenario::kFaulted;
+  const bool long_run = scenario == Scenario::kLongPreempting;
   auto config = core::ExperimentConfig::of(kind)
-                    .workers(2)
-                    .outstanding(2)
+                    .workers(long_run ? 4 : 2)
+                    .outstanding(long_run ? 1 : 2)
                     .bimodal()  // 5us/100us: exercises preemption + requeue
-                    .load(150e3)
-                    .clients(2, 16)
-                    .measure_for(sim::Duration::millis(2))
+                    .load(long_run ? 600e3 : 150e3)
+                    .clients(long_run ? 4 : 2, 16)
+                    .measure_for(sim::Duration::millis(long_run ? 20 : 2))
                     .with_seed(seed)
                     .with_capture(capture);
   config.warmup = sim::Duration::millis(1);
   config.drain = sim::Duration::millis(1);
   config.response_log = &log;
+  if (long_run) config.slice(sim::Duration::micros(10));
   if (faulted) {
     config.reliable();
     config.with_faults(fault::FaultSchedule{}
@@ -156,11 +170,12 @@ const char* golden_name(core::SystemKind kind) {
   }
 }
 
-void check_goldens(const Golden* begin, const Golden* end, bool faulted) {
+void check_goldens(const Golden* begin, const Golden* end,
+                   Scenario scenario) {
   const bool print = std::getenv("NICSCHED_PRINT_GOLDEN") != nullptr;
   for (const Golden* golden = begin; golden != end; ++golden) {
     const std::uint64_t digest =
-        run_digest(golden->kind, golden->seed, faulted);
+        run_digest(golden->kind, golden->seed, scenario);
     if (print) {
       std::printf("    {core::SystemKind::k%s, %llu, 0x%llxULL},\n",
                   golden_name(golden->kind),
@@ -206,13 +221,34 @@ const Golden kReliableFaultGoldens[] = {
     {core::SystemKind::kShinjuku, 1, 0xfe917ae216906a50ULL},
 };
 
+// The two ASIC-dispatched families over a long preempting window. The
+// short kGoldens window is too brief to see a change in the order of a
+// worker's core operations (say, context restore run as its own op: same
+// timestamps, one more event). Whether such a change shows depends on a
+// same-instant tie landing on it, so each family gets four seeds.
+const Golden kLongPreemptingGoldens[] = {
+    {core::SystemKind::kRain, 1, 0xc166501ffa21fdbbULL},
+    {core::SystemKind::kRain, 2, 0x1099a2b807825b4aULL},
+    {core::SystemKind::kRain, 3, 0x40ef8e4100b739e4ULL},
+    {core::SystemKind::kRain, 4, 0xd6c2279e27442fa2ULL},
+    {core::SystemKind::kIdealNic, 1, 0x972cd7fd81ca5d1eULL},
+    {core::SystemKind::kIdealNic, 2, 0xe2b953c564bf378dULL},
+    {core::SystemKind::kIdealNic, 3, 0x80a874973bde01a5ULL},
+    {core::SystemKind::kIdealNic, 4, 0xb57dea11afb0aa1fULL},
+};
+
 TEST(SimDeterminism, BitIdenticalToPreFastPathGoldens) {
-  check_goldens(std::begin(kGoldens), std::end(kGoldens), false);
+  check_goldens(std::begin(kGoldens), std::end(kGoldens), Scenario::kShort);
 }
 
 TEST(SimDeterminism, ReliableDispatchUnderCrashMatchesGoldens) {
   check_goldens(std::begin(kReliableFaultGoldens),
-                std::end(kReliableFaultGoldens), true);
+                std::end(kReliableFaultGoldens), Scenario::kFaulted);
+}
+
+TEST(SimDeterminism, LongPreemptingRunMatchesGoldens) {
+  check_goldens(std::begin(kLongPreemptingGoldens),
+                std::end(kLongPreemptingGoldens), Scenario::kLongPreempting);
 }
 
 // Two identical runs in one process must agree exactly — catches any hidden
