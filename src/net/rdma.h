@@ -12,20 +12,24 @@
 // channel whose delivery latency is `write_latency + cq_poll_interval`
 // (posted-write traversal plus the poller's batching skew) and whose
 // initiator-side occupancy cost (`wqe_post_cost + doorbell_cost`) is
-// returned to the caller to account on whichever core posted the write —
-// time stays the caller's concern, like `hw::MessageChannel`. Payloads are
+// returned to the caller to account on whichever core posted the write. It
+// is a `hw::MessageChannel` of byte vectors underneath. Payloads are
 // opaque bytes so the proto-layer codecs (kRdmaRunQueueEntry / kRdmaCqEntry)
 // are exercised on the real dispatch path, not just in unit tests.
 //
 // Constants live in `core::ModelParams` (`rdma_*`) with the usual
 // [paper]/[derived]/[assumed] annotations; DESIGN §15 carries the argument.
+// The ideal NIC runs the same queue pair with CXL constants (zero poll skew
+// and post cost; see core/nic_server.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "hw/channel.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -51,14 +55,15 @@ class RdmaQueuePair {
   };
 
   RdmaQueuePair(sim::Simulator& sim, Config config)
-      : sim_(sim), config_(config) {}
+      : config_(config),
+        channel_(sim, config.write_latency + config.cq_poll_interval) {}
 
   RdmaQueuePair(const RdmaQueuePair&) = delete;
   RdmaQueuePair& operator=(const RdmaQueuePair&) = delete;
 
   /// Fires when a posted payload becomes pollable on the remote side.
   void set_on_receive(std::function<void()> on_receive) {
-    on_receive_ = std::move(on_receive);
+    channel_.set_on_message(std::move(on_receive));
   }
 
   /// Posts one one-sided write. The payload becomes pollable after
@@ -66,31 +71,30 @@ class RdmaQueuePair {
   /// order == visibility order (RDMA ordering within a QP). Returns the
   /// initiator-side occupancy cost (WQE build + doorbell) for the caller to
   /// account on the posting core.
-  sim::Duration post_write(std::vector<std::uint8_t> payload);
+  sim::Duration post_write(std::vector<std::uint8_t> payload) {
+    ++stats_.writes;
+    stats_.bytes += payload.size();
+    channel_.send(std::move(payload));
+    return config_.wqe_post_cost + config_.doorbell_cost;
+  }
 
   /// Pops the next visible payload, or nullopt when nothing is pollable yet.
-  std::optional<std::vector<std::uint8_t>> poll();
+  std::optional<std::vector<std::uint8_t>> poll() {
+    auto payload = channel_.pop();
+    if (payload) ++stats_.delivered;
+    return payload;
+  }
 
-  bool empty() const { return visible_ == 0; }
-  std::size_t depth() const { return visible_; }
+  bool empty() const { return channel_.empty(); }
+  std::size_t depth() const { return channel_.depth(); }
   const Config& config() const { return config_; }
   const Stats& stats() const { return stats_; }
 
  private:
-  // Grow-only ring, same recycling discipline as hw::MessageChannel: the
-  // delivery event captures only `this` and steady-state posts reuse slots
-  // (and their payload vectors' capacity) in place.
-  void push(std::vector<std::uint8_t> payload);
-  void grow();
-
-  sim::Simulator& sim_;
   Config config_;
-  std::vector<std::vector<std::uint8_t>> ring_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-  std::size_t staged_ = 0;
-  std::size_t visible_ = 0;
-  std::function<void()> on_receive_;
+  /// The staged/visible ring: a write is a message whose visibility latency
+  /// is the traversal plus the poll skew.
+  hw::MessageChannel<std::vector<std::uint8_t>> channel_;
   Stats stats_;
 };
 
