@@ -1,7 +1,10 @@
 #include "core/central_queue.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+
+#include "obs/span.h"
 
 namespace nicsched::core {
 
@@ -123,6 +126,70 @@ void CentralQueue::add_to(ServerTelemetry& telemetry) const {
       telemetry.tenant_depths[i] += tenant_queue_->depth_of(i);
     }
   }
+}
+
+void nic_ingress(
+    sim::Simulator& sim, const IngressStage& stage, const net::Packet& packet,
+    CentralQueue& central, std::size_t backlog,
+    const std::function<void(std::uint64_t)>& cancel,
+    const std::function<void(proto::RequestDescriptor)>& accepted) {
+  const auto datagram = net::parse_udp_datagram(packet);
+  if (!datagram || datagram->udp.dst_port != stage.port) {
+    ++stage.malformed;
+    return;
+  }
+  if (proto::peek_type(datagram->payload) == proto::MessageType::kCancel) {
+    if (const auto message = proto::CancelMessage::parse(datagram->payload)) {
+      // The losing leg of a ToR-hedged pair (DESIGN §16): mark the id for a
+      // lazy drop at dispatch. A mark whose request was already dispatched
+      // (or never arrived here) is consumed-or-harmless — ids are unique
+      // per run.
+      cancel(message->request_id);
+    } else {
+      ++stage.malformed;
+    }
+    return;
+  }
+  const auto request = proto::RequestMessage::parse(datagram->payload);
+  if (!request) {
+    ++stage.malformed;
+    return;
+  }
+  ++stage.received;
+  sim.trace(sim::TraceCategory::kClient, [&] {
+    return std::pair{std::string(stage.component),
+                     "request " + std::to_string(request->request_id) +
+                         " received"};
+  });
+  // Informed admission (DESIGN §11) before any dispatcher work, answered
+  // straight from the NIC. With tenants on (§13) the request is judged by
+  // its own tenant's gate and backlog, so a saturating neighbour cannot
+  // close the door.
+  const auto verdict = central.admit(request->tenant, backlog);
+  if (sim.span_enabled()) {
+    obs::record_nic_rx(sim, packet.rx_at(), request->request_id,
+                       stage.span_lane);
+  }
+  if (!verdict.admitted) {
+    sim.trace(sim::TraceCategory::kClient, [&] {
+      return std::pair{std::string(stage.component),
+                       "reject " + std::to_string(request->request_id) +
+                           " depth " + std::to_string(verdict.depth)};
+    });
+    if (sim.span_enabled()) {
+      obs::begin_span(sim, request->request_id, obs::SpanKind::kResponse,
+                      stage.span_lane);
+    }
+    stage.nic.transmit(make_reject_frame(stage.nic.mac(), stage.nic.ip(),
+                                         stage.port, *datagram, *request,
+                                         verdict.depth));
+    return;
+  }
+  if (sim.span_enabled()) {
+    obs::begin_span(sim, request->request_id, obs::SpanKind::kDispatchQueue,
+                    stage.span_lane);
+  }
+  accepted(make_descriptor(*request, *datagram));
 }
 
 }  // namespace nicsched::core

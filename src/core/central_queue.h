@@ -13,13 +13,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 
 #include "core/server.h"
 #include "core/task_queue.h"
+#include "net/nic.h"
 #include "overload/overload.h"
 #include "proto/messages.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
 #include "tenant/tenant.h"
 
@@ -75,5 +78,27 @@ class CentralQueue {
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
 };
+
+/// What a dispatcher's NIC ingress stage is wired to.
+struct IngressStage {
+  net::NicInterface& nic;     // client frames arrive here; rejects leave here
+  std::uint16_t port;         // the service's UDP port
+  std::uint32_t span_lane;    // lane of the NIC-RX and first queue spans
+  const char* component;      // trace component of the intake lines
+  std::uint64_t& received;    // requests parsed
+  std::uint64_t& malformed;   // frames dropped as unparsable or misaddressed
+};
+
+/// One client frame through a centralized dispatcher's NIC ingress: parse,
+/// port check, cancel mark, admit or reject against `central` plus
+/// `backlog` (requests already accepted but not yet queued there), the
+/// reject frame, the NIC-RX spans, and the hand-off. A hedge cancel goes to
+/// `cancel`; an admitted request's descriptor goes to `accepted`. Runs
+/// inside the ingress pump's callback and schedules nothing itself.
+void nic_ingress(sim::Simulator& sim, const IngressStage& stage,
+                 const net::Packet& packet, CentralQueue& central,
+                 std::size_t backlog,
+                 const std::function<void(std::uint64_t)>& cancel,
+                 const std::function<void(proto::RequestDescriptor)>& accepted);
 
 }  // namespace nicsched::core

@@ -456,7 +456,7 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
 
   networker_pump_ = std::make_unique<PacketPump>(
       networker_core_, arm_net_->ring(0), params_.networker_parse_cost,
-      [this](net::Packet packet) { networker_handle(std::move(packet)); });
+      [this](net::Packet packet) { networker_handle(packet); });
   d3_pump_ = std::make_unique<PacketPump>(
       d3_core_, arm_disp_->ring(0), params_.notification_parse_cost,
       [this](net::Packet packet) { d3_handle(std::move(packet)); });
@@ -497,63 +497,18 @@ net::Ipv4Address ShinjukuOffloadServer::ingress_ip() const {
   return arm_net_->ip();
 }
 
-void ShinjukuOffloadServer::networker_handle(net::Packet packet) {
-  const auto datagram = net::parse_udp_datagram(packet);
-  if (!datagram || datagram->udp.dst_port != config_.udp_port) {
-    ++malformed_;
-    return;
-  }
-  if (proto::peek_type(datagram->payload) == proto::MessageType::kCancel) {
-    if (const auto cancel = proto::CancelMessage::parse(datagram->payload)) {
-      // The losing leg of a ToR-hedged pair (DESIGN §16): mark the id for a
-      // lazy drop at dispatch. A mark whose request was already dispatched
-      // (or never arrived here) is consumed-or-harmless — ids are unique
-      // per run.
-      central_.cancel(cancel->request_id);
-    } else {
-      ++malformed_;
-    }
-    return;
-  }
-  const auto request = proto::RequestMessage::parse(datagram->payload);
-  if (!request) {
-    ++malformed_;
-    return;
-  }
-  ++requests_received_;
-  sim_.trace(sim::TraceCategory::kClient, [&] {
-    return std::pair{std::string("networker"),
-                     "request " + std::to_string(request->request_id) +
-                         " received"};
-  });
-  // Informed admission (DESIGN §11): the networker consults D1's measured
-  // queueing delay (EWMA) and the instantaneous backlog before spending
-  // any dispatcher work, answering refusals straight from the NIC. With
-  // tenants on (DESIGN §13) the request is judged by its own tenant's
-  // gate and backlog, so a saturating neighbour cannot close the door.
-  const auto verdict =
-      central_.admit(request->tenant, intake_channel_.depth());
-  if (!verdict.admitted) {
-    sim_.trace(sim::TraceCategory::kClient, [&] {
-      return std::pair{std::string("networker"),
-                       "reject " + std::to_string(request->request_id) +
-                           " depth " + std::to_string(verdict.depth)};
-    });
-    if (sim_.span_enabled()) {
-      obs::record_nic_rx(sim_, packet.rx_at(), request->request_id);
-      obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse);
-    }
-    arm_net_->transmit(make_reject_frame(arm_net_->mac(), arm_net_->ip(),
-                                         config_.udp_port, *datagram,
-                                         *request, verdict.depth));
-    return;
-  }
-  if (sim_.span_enabled()) {
-    // The ARM NIC stamped the frame's arrival; attribute wire vs RX/parse.
-    obs::record_nic_rx(sim_, packet.rx_at(), request->request_id);
-    obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue);
-  }
-  intake_channel_.send(make_descriptor(*request, *datagram));
+void ShinjukuOffloadServer::networker_handle(const net::Packet& packet) {
+  // The networker judges admission against D1's queue plus the intake
+  // backlog before spending any dispatcher work.
+  nic_ingress(
+      sim_,
+      {*arm_net_, config_.udp_port, 0, "networker", requests_received_,
+       malformed_},
+      packet, central_, intake_channel_.depth(),
+      [this](std::uint64_t id) { central_.cancel(id); },
+      [this](proto::RequestDescriptor descriptor) {
+        intake_channel_.send(std::move(descriptor));
+      });
 }
 
 void ShinjukuOffloadServer::d1_kick() {

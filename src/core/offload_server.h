@@ -132,7 +132,7 @@ class ShinjukuOffloadServer final : public FaultableServer {
     std::uint64_t sojourn_ps = 0;
   };
 
-  void networker_handle(net::Packet packet);
+  void networker_handle(const net::Packet& packet);
   void d1_kick();
   void d1_step();
   void d2_send(Assignment assignment);

@@ -165,7 +165,7 @@ ShinjukuServer::ShinjukuServer(sim::Simulator& sim,
     group.networker_pump = std::make_unique<PacketPump>(
         group.networker_core, pf_->ring(group.index),
         params_.networker_parse_cost, [this, &group](net::Packet packet) {
-          networker_handle(group, std::move(packet));
+          networker_handle(group, packet);
         });
     group.intake_channel.set_on_message(
         [this, &group]() { dispatcher_kick(group); });
@@ -188,52 +188,23 @@ const CoreStatusTable& ShinjukuServer::core_status(std::size_t group) const {
   return groups_[group]->status;
 }
 
-void ShinjukuServer::networker_handle(Group& group, net::Packet packet) {
-  const auto datagram = net::parse_udp_datagram(packet);
-  if (!datagram || datagram->udp.dst_port != config_.udp_port) {
-    ++group.malformed;
-    return;
-  }
-  if (proto::peek_type(datagram->payload) == proto::MessageType::kCancel) {
-    if (const auto cancel = proto::CancelMessage::parse(datagram->payload)) {
-      // The losing leg of a ToR-hedged pair (DESIGN §16). The cancel's
-      // control 5-tuple need not hash to the group that queued the request,
-      // so mark every group's queue; a mark that never matches is harmless
-      // (ids are unique per run).
-      for (auto& other : groups_) other->central.cancel(cancel->request_id);
-    } else {
-      ++group.malformed;
-    }
-    return;
-  }
-  const auto request = proto::RequestMessage::parse(datagram->payload);
-  if (!request) {
-    ++group.malformed;
-    return;
-  }
-  ++group.requests_received;
-  // Informed admission (DESIGN §11), scoped to this group's queue; with
-  // tenants on (§13) the request is judged by its own tenant's gate.
-  const auto verdict =
-      group.central.admit(request->tenant, group.intake_channel.depth());
-  if (!verdict.admitted) {
-    if (sim_.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(group.index);
-      obs::record_nic_rx(sim_, packet.rx_at(), request->request_id, lane);
-      obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
-                      lane);
-    }
-    pf_->transmit(make_reject_frame(pf_->mac(), pf_->ip(), config_.udp_port,
-                                    *datagram, *request, verdict.depth));
-    return;
-  }
-  if (sim_.span_enabled()) {
-    const auto lane = static_cast<std::uint32_t>(group.index);
-    obs::record_nic_rx(sim_, packet.rx_at(), request->request_id, lane);
-    obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue,
-                    lane);
-  }
-  group.intake_channel.send(make_descriptor(*request, *datagram));
+void ShinjukuServer::networker_handle(Group& group,
+                                      const net::Packet& packet) {
+  // Admission is scoped to this group's queue plus its intake backlog. A
+  // hedge cancel's control 5-tuple need not hash to the group that queued
+  // the request, so it marks every group's queue; a mark that never matches
+  // is harmless (ids are unique per run).
+  nic_ingress(
+      sim_,
+      {*pf_, config_.udp_port, static_cast<std::uint32_t>(group.index),
+       "networker", group.requests_received, group.malformed},
+      packet, group.central, group.intake_channel.depth(),
+      [this](std::uint64_t id) {
+        for (auto& other : groups_) other->central.cancel(id);
+      },
+      [&group](proto::RequestDescriptor descriptor) {
+        group.intake_channel.send(std::move(descriptor));
+      });
 }
 
 void ShinjukuServer::dispatcher_kick(Group& group) {

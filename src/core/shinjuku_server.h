@@ -129,7 +129,7 @@ class ShinjukuServer final : public FaultableServer {
     std::uint64_t malformed = 0;
   };
 
-  void networker_handle(Group& group, net::Packet packet);
+  void networker_handle(Group& group, const net::Packet& packet);
   void dispatcher_kick(Group& group);
   void dispatcher_step(Group& group);
 

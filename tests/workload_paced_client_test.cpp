@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ideal_nic_server.h"
+#include "core/nic_server.h"
 #include "stats/recorder.h"
 
 namespace nicsched::workload {
@@ -14,12 +14,13 @@ struct PacedFixture : ::testing::Test {
       : params(core::ModelParams::defaults()),
         network(sim, params.switch_forward_latency) {}
 
-  core::IdealNicServer& make_server(std::size_t workers) {
-    core::IdealNicServer::Config config;
+  core::NicSchedServer& make_server(std::size_t workers) {
+    core::NicSchedServer::Config config;
+    config.transport = core::NicSchedServer::Transport::kCxl;
     config.worker_count = workers;
     config.outstanding_per_worker = 2;
     config.preemption_enabled = false;
-    server = std::make_unique<core::IdealNicServer>(sim, network, params,
+    server = std::make_unique<core::NicSchedServer>(sim, network, params,
                                                     config);
     return *server;
   }
@@ -41,7 +42,7 @@ struct PacedFixture : ::testing::Test {
   sim::Simulator sim;
   core::ModelParams params;
   net::EthernetSwitch network;
-  std::unique_ptr<core::IdealNicServer> server;
+  std::unique_ptr<core::NicSchedServer> server;
 };
 
 TEST_F(PacedFixture, EveryRequestGetsExactlyOneResponse) {
