@@ -2,9 +2,9 @@
 # The repo's one-command CI gate, in nine tiers:
 #
 #   1. tier-1: configure, build, full ctest — the bar every change must hold
-#   2. perf smoke: the sim-core perf harness under NICSCHED_FAST=1 (schema
-#      and throughput-nonzero hard-fail; speedup ratios informational on
-#      loaded machines)
+#   2. perf smoke: perfbench's correctness gate on every workload, one host
+#      second each, untraced and traced (model digest, replay, conservation,
+#      traced == untraced); host-speed numbers are not gated here
 #   3. fault smoke: one-seed conservation invariant, same NICSCHED_FAST tier
 #   4. rack smoke: ToR dispatch tests + the rack_sweep shape checks, same tier
 #   5. tenant smoke: tenant dispatch/shim/conservation tests + the
@@ -38,8 +38,8 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
-echo "==> perf smoke (NICSCHED_FAST=1, ctest -L perf)"
-(cd "$BUILD_DIR" && NICSCHED_FAST=1 ctest -L perf --output-on-failure)
+echo "==> perf smoke (perfbench correctness, ctest -L perf)"
+(cd "$BUILD_DIR" && ctest -L perf --output-on-failure)
 
 echo "==> fault smoke (NICSCHED_FAST=1, ctest -L fault)"
 (cd "$BUILD_DIR" && NICSCHED_FAST=1 ctest -L fault --output-on-failure)
