@@ -27,6 +27,7 @@ void SliceTimer::preempt(std::size_t worker) {
 
 std::optional<std::size_t> SliceTimer::longest_overdue() const {
   std::optional<std::size_t> victim;
+  if (!armed_) return victim;  // time-slice preemption is off
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& row = rows_[i];
     if (!row.running || row.preempt_in_flight) continue;

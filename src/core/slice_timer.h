@@ -53,7 +53,8 @@ class SliceTimer {
   std::uint64_t token(std::size_t worker) const { return rows_[worker].token; }
 
   /// The running worker that started longest ago, at least one slice back,
-  /// with no preempt in flight (lowest index on ties); nullopt if none.
+  /// with no preempt in flight (lowest index on ties); nullopt if none, and
+  /// always nullopt while time-slice preemption is off.
   std::optional<std::size_t> longest_overdue() const;
 
  private:

@@ -91,6 +91,25 @@ TEST(MultiDispatcher, PreemptionStillWorksPerGroup) {
   EXPECT_EQ(result.summary.completed, result.summary.issued);
 }
 
+TEST(MultiDispatcher, PreemptionOffMeansNoPreemptions) {
+  // Fig. 5's Shinjuku point near its knee: every worker busy with a 100 us
+  // request when the next one arrives. With preemption off, an arrival must
+  // never preempt a worker that is past its slice.
+  for (const std::size_t dispatchers : {1u, 2u}) {
+    ExperimentConfig config = ExperimentConfig::of(SystemKind::kShinjuku)
+                                  .workers(15)
+                                  .dispatchers(dispatchers)
+                                  .fixed(sim::Duration::micros(100))
+                                  .no_preemption()
+                                  .load(140e3)
+                                  .measure_for(sim::Duration::millis(20));
+    const auto result = run_experiment(config);
+    EXPECT_GT(result.server.responses_sent, 0u);
+    EXPECT_EQ(result.server.preemptions, 0u)
+        << "dispatcher_count=" << dispatchers;
+  }
+}
+
 TEST(MultiDispatcher, PerWorkerRowsFollowGlobalWorkerOrder) {
   // Workers are placed round-robin (worker w sits in group w % 2), and a
   // FaultSchedule names them by that global index. The per-worker rows must

@@ -212,11 +212,27 @@ TEST(SliceTimer, UnarmedTimerOnlyRecordsRuns) {
   timer.start(0, 1);
   sim.run_until(at_us(3));
   timer.start(1, 1);
-  timer.start(2, 1);
   sim.run_until(at_us(50));
   EXPECT_TRUE(dispatcher.preempts.empty());
   EXPECT_TRUE(timer.running(0));
   EXPECT_EQ(timer.token(0), 1u);
+  // Preemption off means off: no worker is ever overdue, however long it
+  // has run, so an arrival cannot preempt around the switch either.
+  EXPECT_EQ(timer.longest_overdue(), std::nullopt);
+}
+
+TEST(SliceTimer, LongestOverdueIsTheOldestRunPastItsSlice) {
+  sim::Simulator sim;
+  FakeDispatcher dispatcher;  // nothing waiting: the checks only re-arm
+  dispatcher.sim = &sim;
+  SliceTimer timer(sim, sim::Duration::micros(10), /*armed=*/true, 3,
+                   dispatcher);
+  timer.start(0, 1);
+  sim.run_until(at_us(3));
+  timer.start(1, 1);
+  timer.start(2, 1);
+  EXPECT_EQ(timer.longest_overdue(), std::nullopt);  // none a slice old
+  sim.run_until(at_us(50));
 
   // The longest-running worker past its slice is the victim; once a
   // preempt is in flight the next-oldest is.
