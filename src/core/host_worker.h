@@ -5,12 +5,12 @@
 // loop is written once and each family supplies three things (DESIGN §9):
 //
 //   * fetch    — take the next assignment off its transport (pop a channel,
-//                or poll, parse and dedupe an RDMA run-queue entry);
+//                or poll, parse and dedupe a run-queue entry);
 //   * costs    — the per-phase core costs and the payload's cache placement
 //                (Config), plus how many assignments queue behind the one
 //                just fetched (queued_behind);
 //   * notify   — report started/completed/preempted back to the dispatcher
-//                (a CXL status note, a cache-line IPC note, an RDMA CQE).
+//                (a cache-line IPC note, or a CQ entry over CXL or RDMA).
 //
 // The loop itself: pop → prologue (pop cost + first payload touch + context
 // restore for a resumed request) → run_preemptible → either respond to the

@@ -1,4 +1,4 @@
-// RainServer acceptance (DESIGN §15): the RDMA-assisted dispatch family is
+// Rain acceptance (DESIGN §15): the RDMA-assisted dispatch family is
 // deterministic, conserves every request under composed overload + tenants
 // + faults, degrades PR 3 reliable dispatch onto doorbell/CQ semantics
 // (crash → watchdog → re-steer; the channel itself never drops), and the
