@@ -31,99 +31,16 @@
 #include <optional>
 #include <vector>
 
+#include "core/host_spec.h"
 #include "core/server.h"
-#include "core/task_queue.h"
 #include "core/testbed.h"
 #include "fault/fault_surface.h"
-#include "hw/apic_timer.h"
 #include "net/ethernet_switch.h"
-#include "overload/overload.h"
 #include "rack/tor_scheduler.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
-#include "tenant/tenant.h"
 
 namespace nicsched::core {
-
-/// Everything needed to build one server host: the system kind plus every
-/// per-family knob, with reliability and overload control promoted into the
-/// same struct instead of being threaded through separate parameters.
-/// `ExperimentConfig` maps onto this via `HostSpec::from_config`; direct
-/// ClusterBuilder users (tests, heterogeneous racks) fill it by hand.
-struct HostSpec {
-  SystemKind system = SystemKind::kShinjukuOffload;
-  std::size_t worker_count = 4;
-  /// Shinjuku only: networker+dispatcher pairs.
-  std::size_t dispatcher_count = 1;
-  /// Queuing-optimization K (offload and ideal-NIC systems).
-  std::uint32_t outstanding_per_worker = 4;
-  bool preemption_enabled = true;
-  sim::Duration time_slice = sim::Duration::micros(10);
-  hw::TimerCosts timer_costs = hw::TimerCosts::dune();
-  QueuePolicy queue_policy = QueuePolicy::kFcfs;
-  /// Offload only: D2 sender cores and TX batching.
-  std::size_t sender_cores = 1;
-  std::size_t tx_batch_frames = 0;
-  sim::Duration tx_batch_timeout = sim::Duration::micros(8);
-  /// Payload cache placement; unset = the system's own default.
-  std::optional<hw::PlacementPolicy> placement;
-  /// Reliable dispatcher↔worker protocol (DESIGN §9).
-  ReliabilityParams reliability;
-  /// Overload control (DESIGN §11).
-  overload::OverloadParams overload;
-  /// Rack-level load feedback (DESIGN §12): echo queue-sojourn samples on
-  /// client-bound responses as version-2 frames for ToR snooping.
-  bool load_feedback = false;
-  /// Multi-tenant dispatch/admission (DESIGN §13); disabled by default so
-  /// the host keeps its classic single-queue path bit for bit.
-  tenant::TenantParams tenant;
-  /// Extra delay before worker sojourn samples reach the adaptive-K
-  /// governor (DESIGN §15; offload and rain families). Zero = synchronous
-  /// fold, bit for bit.
-  sim::Duration feedback_staleness = sim::Duration::zero();
-  ModelParams params = ModelParams::defaults();
-
-  /// The shared knob mapping the testbed and every bench use: lifts an
-  /// ExperimentConfig's host-side fields (including the resolved overload
-  /// and reliability settings) into a HostSpec.
-  static HostSpec from_config(const ExperimentConfig& config);
-
-  /// Environment resolution in one place: applies the NICSCHED_OVERLOAD_*
-  /// contract to `base.overload`. (Fault schedules stay at the experiment
-  /// layer — they target a built cluster, not a spec.)
-  static HostSpec from_env(HostSpec base) {
-    base.overload = overload::OverloadParams::from_env(base.overload);
-    return base;
-  }
-
-  // ---- fluent shorthands --------------------------------------------------
-  static HostSpec of(SystemKind kind) {
-    HostSpec spec;
-    spec.system = kind;
-    return spec;
-  }
-  static HostSpec offload() { return of(SystemKind::kShinjukuOffload); }
-  static HostSpec shinjuku() { return of(SystemKind::kShinjuku); }
-  static HostSpec ideal_nic() { return of(SystemKind::kIdealNic); }
-  static HostSpec rss() { return of(SystemKind::kRss); }
-  static HostSpec rain() { return of(SystemKind::kRain); }
-  HostSpec& workers(std::size_t count) {
-    worker_count = count;
-    return *this;
-  }
-  HostSpec& outstanding(std::uint32_t k) {
-    outstanding_per_worker = k;
-    return *this;
-  }
-  HostSpec& with_feedback(bool on = true) {
-    load_feedback = on;
-    return *this;
-  }
-  HostSpec& with_overload(overload::OverloadParams knobs) {
-    overload = knobs;
-    return *this;
-  }
-};
 
 /// A built topology: the client-side network, one or more server hosts, and
 /// (for multi-host builds) the ToR scheduler joining them. Move-only; owns
@@ -135,7 +52,7 @@ struct HostSpec {
 /// incarnation model; the NIC-path probe responder keeps answering, the
 /// cores just stop), and link partitions become total loss on the host's
 /// uplink / the ToR's downlink wire. Each injection point also reports the
-/// simulator shard that owns it, so `ClusterFaultInjector` schedules every
+/// simulator shard that owns it, so `FaultInjector` schedules every
 /// mutation on the right shard.
 class Cluster : public fault::ClusterFaultSurface {
  public:

@@ -11,6 +11,10 @@ namespace {
 
 constexpr std::uint32_t kPfIndex = 3000;
 constexpr std::uint16_t kWorkerPort = 8082;
+// kElasticRss: the control loop's cadence, and the ring-depth difference
+// that triggers moving one indirection entry from hottest to coldest ring.
+constexpr sim::Duration kRebalancePeriod = sim::Duration::micros(20);
+constexpr std::size_t kRebalanceThreshold = 4;
 
 net::Nic::Config nic_config(const ModelParams& params) {
   net::Nic::Config config;
@@ -35,19 +39,19 @@ class DistributedServer::Worker {
         core_(server.sim_, [&] {
           hw::CpuCore::Config config;
           config.name = "rtc-worker" + std::to_string(id);
-          config.frequency = server.params_.host_frequency;
+          config.frequency = server.spec_.params.host_frequency;
           return config;
         }()),
-        admission_(server.config_.overload) {
-    if (server.config_.tenant.enabled) {
-      const auto& tenants = server.config_.tenant.tenants;
+        admission_(server.spec_.overload) {
+    if (server.spec_.tenant.enabled) {
+      const auto& tenants = server.spec_.tenant.tenants;
       tenant_stats_.resize(std::max<std::size_t>(tenants.size(), 1));
       for (std::size_t i = 0; i < tenants.size(); ++i) {
         tenant_stats_[i].id = tenants[i].id;
       }
-      if (server.config_.overload.enabled) {
+      if (server.spec_.overload.enabled) {
         tenant_admission_ = std::make_unique<tenant::TenantAdmission>(
-            server.config_.tenant, server.config_.overload);
+            server.spec_.tenant, server.spec_.overload);
       }
     }
     ring().set_on_packet([this]() {
@@ -94,12 +98,13 @@ class DistributedServer::Worker {
   void start_next() {
     auto packet = ring().pop();
     sim::Duration prologue =
-        server_.params_.worker_pop_cost + server_.params_.networker_parse_cost;
+        server_.spec_.params.worker_pop_cost +
+        server_.spec_.params.networker_parse_cost;
     bool stolen = false;
-    if (!packet && server_.config_.policy == Policy::kWorkStealing) {
+    if (!packet && server_.spec_.system == SystemKind::kWorkStealing) {
       packet = steal();
       if (packet) {
-        prologue += server_.params_.steal_cost;
+        prologue += server_.spec_.params.steal_cost;
         stolen = true;
       }
     }
@@ -113,8 +118,8 @@ class DistributedServer::Worker {
     // backlog got after this payload arrived.
     const auto queued_behind = static_cast<std::uint32_t>(ring().depth());
     prologue += hw::payload_touch_cost(
-        stolen ? hw::PlacementPolicy::kDdioLlc : server_.config_.placement,
-        server_.params_.cache_costs, queued_behind, ddio_);
+        stolen ? hw::PlacementPolicy::kDdioLlc : server_.placement_,
+        server_.spec_.params.cache_costs, queued_behind, ddio_);
     core_.run(prologue, [this, p = std::move(*packet)]() {
       // Ring sojourn: frame arrival at the NIC to the start of handling.
       // Run-to-completion serves one request at a time, so the sample is
@@ -144,16 +149,16 @@ class DistributedServer::Worker {
       }
       ++requests_received_;
       if (!tenant_stats_.empty()) {
-        ++tenant_stats_[server_.config_.tenant.index_of(request->tenant)]
+        ++tenant_stats_[server_.spec_.tenant.index_of(request->tenant)]
               .enqueued;
       }
-      if (server_.config_.overload.enabled &&
+      if (server_.spec_.overload.enabled &&
           overload_gate(p, *datagram, *request)) {
         start_next();
         return;
       }
       if (!tenant_stats_.empty()) {
-        ++tenant_stats_[server_.config_.tenant.index_of(request->tenant)]
+        ++tenant_stats_[server_.spec_.tenant.index_of(request->tenant)]
               .dispatched;
       }
       const proto::RequestDescriptor descriptor =
@@ -181,13 +186,13 @@ class DistributedServer::Worker {
                      const net::UdpDatagramView& datagram,
                      const proto::RequestMessage& request) {
     sim::Simulator& sim = server_.sim_;
-    const overload::OverloadParams& params = server_.config_.overload;
+    const overload::OverloadParams& params = server_.spec_.overload;
     // Ring residency is this core's queueing delay; feed the EWMA the same
     // signal the dispatcherful servers measure at their pop. With tenants on
     // (§13) the sample feeds the request's own tenant gate.
     const std::size_t slot =
         tenant_admission_ != nullptr
-            ? server_.config_.tenant.index_of(request.tenant)
+            ? server_.spec_.tenant.index_of(request.tenant)
             : 0;
     if (tenant_admission_ != nullptr) {
       tenant_admission_->observe(slot, sim.now() - p.rx_at());
@@ -258,7 +263,7 @@ class DistributedServer::Worker {
       obs::begin_span(sim, descriptor.request_id, obs::SpanKind::kResponse,
                       lane);
     }
-    core_.run(server_.params_.response_build_cost, [this, descriptor]() {
+    core_.run(server_.spec_.params.response_build_cost, [this, descriptor]() {
       net::DatagramAddress address;
       address.src_mac = server_.pf_->mac();
       address.dst_mac = descriptor.client_mac;
@@ -268,7 +273,7 @@ class DistributedServer::Worker {
       address.dst_port = descriptor.client_port;
       auto& scratch = proto::serialization_scratch();
       auto response = make_response(descriptor);
-      if (server_.config_.load_feedback) {
+      if (server_.spec_.load_feedback) {
         response.has_sojourn = true;
         response.sojourn_ps =
             static_cast<std::uint64_t>(current_sojourn_.to_picos());
@@ -305,41 +310,44 @@ class DistributedServer::Worker {
 
 DistributedServer::DistributedServer(sim::Simulator& sim,
                                      net::EthernetSwitch& network,
-                                     const ModelParams& params, Config config)
-    : FaultableServer(network, config.worker_count),
+                                     const HostSpec& spec)
+    : FaultableServer(network, spec.worker_count),
       sim_(sim),
-      params_(params),
-      config_(config),
-      nic_(sim, nic_config(params)) {
-  if (config_.worker_count == 0) {
+      spec_(spec),
+      placement_(spec.placement.value_or(hw::PlacementPolicy::kDdioLlc)),
+      nic_(sim, nic_config(spec.params)) {
+  if (spec_.worker_count == 0) {
     throw std::invalid_argument("DistributedServer: need >= 1 worker");
   }
 
   pf_ = &nic_.add_interface("pf", net::MacAddress::from_index(kPfIndex),
                             net::Ipv4Address::from_index(kPfIndex),
-                            config_.worker_count);
-  switch (config_.policy) {
-    case Policy::kRss:
-    case Policy::kWorkStealing:
+                            spec_.worker_count);
+  switch (spec_.system) {
+    case SystemKind::kRss:
+    case SystemKind::kWorkStealing:
       pf_->use_rss();
       break;
-    case Policy::kElasticRss:
+    case SystemKind::kElasticRss:
       pf_->use_rss();
-      sim_.after(config_.rebalance_period, [this]() { rebalance_tick(); });
+      sim_.after(kRebalancePeriod, [this]() { rebalance_tick(); });
       break;
-    case Policy::kFlowDirector:
+    case SystemKind::kFlowDirector:
       pf_->use_flow_director();
-      for (std::size_t i = 0; i < config_.worker_count; ++i) {
+      for (std::size_t i = 0; i < spec_.worker_count; ++i) {
         pf_->flow_director().add_dst_port_rule(
-            static_cast<std::uint16_t>(config_.udp_port + i),
+            static_cast<std::uint16_t>(kRequestPort + i),
             static_cast<std::uint32_t>(i));
       }
       break;
+    default:
+      throw std::invalid_argument(
+          "DistributedServer: not a run-to-completion system kind");
   }
-  nic_.attach_to_switch(network, params_.stingray_port_latency,
-                        params_.line_rate_gbps);
+  nic_.attach_to_switch(network, spec_.params.stingray_port_latency,
+                        spec_.params.line_rate_gbps);
 
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     workers_.push_back(std::make_unique<Worker>(*this, i));
   }
 }
@@ -352,33 +360,23 @@ DistributedServer::~DistributedServer() = default;
 // paper exploits when arguing for NIC-side control-plane work.
 void DistributedServer::rebalance_tick() {
   std::size_t hottest = 0, coldest = 0;
-  for (std::size_t i = 1; i < config_.worker_count; ++i) {
+  for (std::size_t i = 1; i < spec_.worker_count; ++i) {
     if (pf_->ring(i).depth() > pf_->ring(hottest).depth()) hottest = i;
     if (pf_->ring(i).depth() < pf_->ring(coldest).depth()) coldest = i;
   }
   if (pf_->ring(hottest).depth() >=
-      pf_->ring(coldest).depth() + config_.rebalance_threshold) {
+      pf_->ring(coldest).depth() + kRebalanceThreshold) {
     if (pf_->rss_table()->remap_one(static_cast<std::uint32_t>(hottest),
                                     static_cast<std::uint32_t>(coldest))) {
       ++rebalances_;
     }
   }
-  sim_.after(config_.rebalance_period, [this]() { rebalance_tick(); });
+  sim_.after(kRebalancePeriod, [this]() { rebalance_tick(); });
 }
 
 net::MacAddress DistributedServer::ingress_mac() const { return pf_->mac(); }
 
 net::Ipv4Address DistributedServer::ingress_ip() const { return pf_->ip(); }
-
-std::string DistributedServer::name() const {
-  switch (config_.policy) {
-    case Policy::kRss: return "rss-rtc";
-    case Policy::kFlowDirector: return "flow-director";
-    case Policy::kWorkStealing: return "work-stealing";
-    case Policy::kElasticRss: return "elastic-rss";
-  }
-  return "distributed";
-}
 
 hw::CpuCore& DistributedServer::worker_core(std::uint32_t worker) {
   return workers_[worker]->core();
@@ -386,7 +384,7 @@ hw::CpuCore& DistributedServer::worker_core(std::uint32_t worker) {
 
 std::uint64_t DistributedServer::drops() const {
   std::uint64_t drops = nic_.rx_unknown_mac_drops() + malformed_;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     drops += pf_->ring(i).stats().dropped;
   }
   return drops;
@@ -412,7 +410,7 @@ ServerStats DistributedServer::stats(sim::Duration elapsed) const {
 ServerTelemetry DistributedServer::telemetry() const {
   ServerTelemetry t;
   t.drops = drops();
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     t.queue_depth += pf_->ring(i).depth();
   }
   for (const auto& worker : workers_) {

@@ -25,7 +25,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/model_params.h"
+#include "core/host_spec.h"
 #include "core/server.h"
 #include "hw/cpu_core.h"
 #include "net/ethernet_switch.h"
@@ -36,62 +36,31 @@ namespace nicsched::core {
 
 class DistributedServer final : public FaultableServer {
  public:
-  enum class Policy { kRss, kFlowDirector, kWorkStealing, kElasticRss };
-
-  struct Config {
-    std::size_t worker_count = 4;
-    Policy policy = Policy::kRss;
-    std::uint16_t udp_port = 8080;
-    /// kElasticRss: control-loop cadence and the ring-depth difference that
-    /// triggers moving one indirection entry from hottest to coldest ring.
-    sim::Duration rebalance_period = sim::Duration::micros(20);
-    std::size_t rebalance_threshold = 4;
-    /// Payload placement (§5.2). Unbounded per-core queues make kDdioL1
-    /// pointless here under load — exactly the paper's argument for why L1
-    /// placement needs a scheduler that bounds outstanding requests.
-    hw::PlacementPolicy placement = hw::PlacementPolicy::kDdioLlc;
-    /// Overload control (DESIGN §11). Run-to-completion has no central
-    /// queue, so each core makes its own decisions at parse time: shed
-    /// already-expired requests and reject against its own ring depth and
-    /// ring-sojourn EWMA. Off by default.
-    overload::OverloadParams overload;
-    /// Rack-level load feedback (DESIGN §12): responses echo the request's
-    /// ring sojourn as a version-2 frame for ToR snooping. Off by default.
-    bool load_feedback = false;
-    /// Multi-tenant accounting and admission (DESIGN §13). Run-to-completion
-    /// shares one FIFO ring per core, so there is no DRR here — requests are
-    /// tenant-tagged for stats and each core runs per-tenant admission
-    /// gates, which is exactly the isolation RTC *can* offer (and the bench
-    /// shows it is not much). Off by default.
-    tenant::TenantParams tenant;
-  };
-
+  /// `spec.system` picks the steering policy: kRss, kFlowDirector,
+  /// kWorkStealing, or kElasticRss; any other kind throws.
   DistributedServer(sim::Simulator& sim, net::EthernetSwitch& network,
-                    const ModelParams& params, Config config);
+                    const HostSpec& spec);
   ~DistributedServer() override;
 
   net::MacAddress ingress_mac() const override;
   net::Ipv4Address ingress_ip() const override;
-  std::uint16_t port() const override { return config_.udp_port; }
-  std::string name() const override;
+  std::string name() const override { return to_string(spec_.system); }
   ServerStats stats(sim::Duration elapsed) const override;
   ServerTelemetry telemetry() const override;
 
   /// For kFlowDirector clients: partitions == worker_count, encoded as
-  /// udp_port + partition.
+  /// kRequestPort + partition.
   std::uint16_t partition_count() const {
-    return config_.policy == Policy::kFlowDirector
-               ? static_cast<std::uint16_t>(config_.worker_count)
-               : 0;
+    return flow_director() ? static_cast<std::uint16_t>(spec_.worker_count)
+                           : 0;
   }
 
   /// Whether a datagram addressed to `dst_port` is a request for this
   /// server (flow-director mode listens on one port per partition).
   bool accepts_port(std::uint16_t dst_port) const {
-    if (dst_port == config_.udp_port) return true;
-    return config_.policy == Policy::kFlowDirector &&
-           dst_port > config_.udp_port &&
-           dst_port < config_.udp_port + config_.worker_count;
+    if (dst_port == kRequestPort) return true;
+    return flow_director() && dst_port > kRequestPort &&
+           dst_port < kRequestPort + spec_.worker_count;
   }
 
   /// kElasticRss: indirection entries moved so far.
@@ -100,6 +69,9 @@ class DistributedServer final : public FaultableServer {
  private:
   class Worker;
 
+  bool flow_director() const {
+    return spec_.system == SystemKind::kFlowDirector;
+  }
   void rebalance_tick();
   // Fault surface: dispatch loss stays the base no-op — run-to-completion
   // has no dispatch hop to lose frames on.
@@ -107,8 +79,9 @@ class DistributedServer final : public FaultableServer {
   std::uint64_t drops() const;
 
   sim::Simulator& sim_;
-  ModelParams params_;
-  Config config_;
+  HostSpec spec_;
+  /// Payload placement (§5.2); see HostSpec::placement.
+  hw::PlacementPolicy placement_;
 
   net::Nic nic_;
   net::NicInterface* pf_ = nullptr;

@@ -52,6 +52,25 @@ hw::CpuCore::Config asic_config(const ModelParams& params, bool cxl) {
   return config;
 }
 
+/// What the CXL kinds override in the spec they are built from.
+HostSpec resolve(HostSpec spec) {
+  if (spec.system == SystemKind::kRain) return spec;
+  // The coherent CXL path: writes cannot be lost and the status table stays
+  // near-fresh, so neither reliable dispatch nor adaptive K has anything to
+  // add.
+  spec.reliability = ReliabilityParams{};
+  spec.overload.adaptive_k_enabled = false;
+  if (spec.system == SystemKind::kRpcValet) {
+    // NI-on-chip: feedback and assignment latencies collapse to tens of
+    // nanoseconds and the queue is consulted per request — but requests run
+    // to completion.
+    spec.outstanding_per_worker = 1;
+    spec.preemption_enabled = false;
+    spec.params.cxl_one_way_latency = sim::Duration::nanos(50);
+  }
+  return spec;
+}
+
 std::uint32_t pf_index(bool cxl) { return cxl ? 4000 : 5000; }
 std::uint16_t worker_port(bool cxl) { return cxl ? 8082 : 8083; }
 
@@ -66,7 +85,7 @@ std::uint16_t worker_port(bool cxl) { return cxl ? 8082 : 8083; }
 class NicSchedServer::Worker final : public HostWorker {
  public:
   Worker(NicSchedServer& server, std::size_t id)
-      : HostWorker(server.sim_, server.params_,
+      : HostWorker(server.sim_, server.spec_.params,
                    {std::string(server.cxl() ? "ideal" : "rain") + "-worker" +
                         std::to_string(id),
                     id, static_cast<std::uint32_t>(100 + id),
@@ -74,10 +93,13 @@ class NicSchedServer::Worker final : public HostWorker {
                     // Descriptor pop + announcing "started" with one post —
                     // the write that plays the dispatch-ack role under
                     // reliable dispatch.
-                    server.params_.ddio_pop_cost + server.worker_post_cost_,
-                    server.worker_post_cost_, server.config_.placement,
+                    server.spec_.params.ddio_pop_cost +
+                        server.worker_post_cost_,
+                    server.worker_post_cost_,
+                    server.spec_.placement.value_or(
+                        hw::PlacementPolicy::kDdioL1),
                     server.pf_, worker_port(server.cxl()),
-                    server.config_.load_feedback}),
+                    server.spec_.load_feedback}),
         server_(server),
         id_(id),
         rq_(server.sim_, server.link_) {
@@ -132,8 +154,8 @@ class NicSchedServer::Worker final : public HostWorker {
       case Note::kCompleted:
         cqe.cq_kind = proto::RdmaCqKind::kCompleted;
         // The run-queue wait rides the completion as the adaptive-K input.
-        cqe.has_sojourn = server_.config_.overload.enabled &&
-                          server_.config_.overload.adaptive_k_enabled;
+        cqe.has_sojourn = server_.spec_.overload.enabled &&
+                          server_.spec_.overload.adaptive_k_enabled;
         cqe.sojourn_ps =
             static_cast<std::uint64_t>(current_local_sojourn_.to_picos());
         break;
@@ -156,24 +178,24 @@ class NicSchedServer::Worker final : public HostWorker {
 
 NicSchedServer::NicSchedServer(sim::Simulator& sim,
                                net::EthernetSwitch& network,
-                               const ModelParams& params, Config config)
-    : FaultableServer(network, config.worker_count),
+                               const HostSpec& spec)
+    : FaultableServer(network, spec.worker_count),
       sim_(sim),
-      params_(params),
-      config_(config),
-      link_(link_config(params, cxl())),
-      worker_post_cost_(cxl() ? params.cxl_write_cost : post_cost(link_)),
-      nic_(sim, nic_config(params, cxl())),
-      asic_(sim, asic_config(params, cxl())),
+      spec_(resolve(spec)),
+      link_(link_config(spec_.params, cxl())),
+      worker_post_cost_(cxl() ? spec_.params.cxl_write_cost
+                              : post_cost(link_)),
+      nic_(sim, nic_config(spec_.params, cxl())),
+      asic_(sim, asic_config(spec_.params, cxl())),
       cq_(sim, link_),
-      central_(config.queue_policy, config.overload, config.tenant),
-      status_(config.worker_count, config.outstanding_per_worker),
-      slice_(sim, config.time_slice, config.preemption_enabled,
-             config.worker_count, *this),
-      adaptive_k_(config.overload, config.worker_count,
-                  config.outstanding_per_worker),
-      reliable_(sim, config.reliability, status_,
-                config.overload.enabled && config.overload.adaptive_k_enabled
+      central_(spec_.queue_policy, spec_.overload, spec_.tenant),
+      status_(spec_.worker_count, spec_.outstanding_per_worker),
+      slice_(sim, spec_.time_slice, spec_.preemption_enabled,
+             spec_.worker_count, *this),
+      adaptive_k_(spec_.overload, spec_.worker_count,
+                  spec_.outstanding_per_worker),
+      reliable_(sim, spec_.reliability, status_,
+                spec_.overload.enabled && spec_.overload.adaptive_k_enabled
                     ? &adaptive_k_
                     : nullptr,
                 "rain",
@@ -186,25 +208,25 @@ NicSchedServer::NicSchedServer(sim::Simulator& sim,
                    central_.push_preempted(std::move(descriptor), sim_.now());
                  },
                  [this]() { scheduler_kick(); }}) {
-  if (config_.worker_count == 0) {
+  if (spec_.worker_count == 0) {
     throw std::invalid_argument("NicSchedServer: need >= 1 worker");
   }
-  if (config_.outstanding_per_worker == 0) {
+  if (spec_.outstanding_per_worker == 0) {
     throw std::invalid_argument("NicSchedServer: K must be >= 1");
   }
 
   const std::uint32_t index = pf_index(cxl());
   pf_ = &nic_.add_interface("pf", net::MacAddress::from_index(index),
                             net::Ipv4Address::from_index(index));
-  nic_.attach_to_switch(network, params_.stingray_port_latency,
-                        params_.line_rate_gbps);
+  nic_.attach_to_switch(network, spec_.params.stingray_port_latency,
+                        spec_.params.line_rate_gbps);
 
   ingress_pump_ = std::make_unique<PacketPump>(
-      asic_, pf_->ring(0), params_.asic_dispatch_cost,
+      asic_, pf_->ring(0), spec_.params.asic_dispatch_cost,
       [this](net::Packet packet) { scheduler_handle(packet); });
   cq_.set_on_receive([this]() { scheduler_kick(); });
 
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     workers_.push_back(std::make_unique<Worker>(*this, i));
   }
 }
@@ -217,7 +239,7 @@ net::Ipv4Address NicSchedServer::ingress_ip() const { return pf_->ip(); }
 
 void NicSchedServer::scheduler_handle(const net::Packet& packet) {
   nic_ingress(
-      sim_, {*pf_, config_.udp_port, 0, "nic", requests_received_, malformed_},
+      sim_, {*pf_, kRequestPort, 0, "nic", requests_received_, malformed_},
       packet, central_, /*backlog=*/0,
       [this](std::uint64_t id) { central_.cancel(id); },
       [this](proto::RequestDescriptor descriptor) {
@@ -234,7 +256,7 @@ void NicSchedServer::scheduler_kick() {
 
 void NicSchedServer::scheduler_step() {
   if (!cq_.empty()) {
-    asic_.run(params_.asic_dispatch_cost, [this]() {
+    asic_.run(spec_.params.asic_dispatch_cost, [this]() {
       auto bytes = cq_.poll();
       if (bytes) {
         const auto cqe = proto::RdmaCqEntry::parse(*bytes);
@@ -251,7 +273,7 @@ void NicSchedServer::scheduler_step() {
   if (!central_.empty() && status_.pick_least_loaded().has_value()) {
     // One decision plus one write: the ASIC posts it itself (over RDMA it
     // builds the WQE and rings the doorbell) — no D2 frame-construction core.
-    asic_.run(params_.asic_dispatch_cost + post_cost(link_), [this]() {
+    asic_.run(spec_.params.asic_dispatch_cost + post_cost(link_), [this]() {
       const auto worker = status_.pick_least_loaded();
       if (worker) {
         sim::Duration queue_delay = sim::Duration::zero();
@@ -275,7 +297,7 @@ void NicSchedServer::scheduler_step() {
             obs::begin_span(sim_, descriptor->request_id,
                             obs::SpanKind::kDispatch, 1);
           }
-          if (config_.load_feedback) {
+          if (spec_.load_feedback) {
             workers_[*worker]->push_pending_sojourn(queue_delay);
           }
           const std::uint64_t seq = next_seq_++;
@@ -292,7 +314,7 @@ void NicSchedServer::scheduler_step() {
 
 void NicSchedServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
   const auto worker = static_cast<std::size_t>(cqe.worker_id);
-  if (worker >= config_.worker_count) {
+  if (worker >= spec_.worker_count) {
     ++malformed_;
     return;
   }
@@ -308,7 +330,7 @@ void NicSchedServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
       if (reliable() && !reliable_.retire(worker, id, true)) break;
       status_.note_retired(worker, sim_.now());
       if (slice_.token(worker) == id) slice_.stop(worker);
-      if (config_.overload.enabled && config_.overload.adaptive_k_enabled &&
+      if (spec_.overload.enabled && spec_.overload.adaptive_k_enabled &&
           cqe.has_sojourn) {
         fold_sojourn(worker, sim::Duration::picos(
                                  static_cast<std::int64_t>(cqe.sojourn_ps)));
@@ -324,12 +346,12 @@ void NicSchedServer::handle_cqe(const proto::RdmaCqEntry& cqe) {
 }
 
 void NicSchedServer::fold_sojourn(std::size_t worker, sim::Duration sojourn) {
-  if (config_.feedback_staleness.is_zero()) {
+  if (spec_.feedback_staleness.is_zero()) {
     status_.set_capacity(worker, static_cast<std::uint32_t>(
                                      adaptive_k_.observe_sojourn(worker,
                                                                  sojourn)));
   } else {
-    sim_.after(config_.feedback_staleness, [this, worker, sojourn]() {
+    sim_.after(spec_.feedback_staleness, [this, worker, sojourn]() {
       status_.set_capacity(worker, static_cast<std::uint32_t>(
                                        adaptive_k_.observe_sojourn(worker,
                                                                    sojourn)));
@@ -338,7 +360,7 @@ void NicSchedServer::fold_sojourn(std::size_t worker, sim::Duration sojourn) {
 }
 
 void NicSchedServer::send_preempt(std::size_t worker) {
-  asic_.run(params_.asic_dispatch_cost,
+  asic_.run(spec_.params.asic_dispatch_cost,
             [this, worker]() { workers_[worker]->interrupt(); });
 }
 

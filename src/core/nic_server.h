@@ -3,13 +3,13 @@
 // per-decision cost of nanoseconds, not an ARM core — that keeps a central
 // queue and a near-fresh core-status table, assigns requests to polling host
 // workers, and preempts them with direct, informed NIC→core interrupts. They
-// differ only in the host↔NIC path, which is cost data (Transport):
+// differ only in the host↔NIC path, which is cost data chosen by kind:
 //
-//   * kCxl (the ideal NIC, and the RPCValet preset) — a CXL-class coherent
+//   * CXL (kIdealNic, and the kRpcValet preset) — a CXL-class coherent
 //     path: assignments are written straight into host memory where workers
 //     see them a few hundred nanoseconds later, and status flows back the
 //     same way. Posting costs the ASIC nothing.
-//   * kRdma (`rain`, PAPERS.md) — deployable RNIC hardware: one-sided RDMA
+//   * RDMA (kRain, PAPERS.md) — deployable RNIC hardware: one-sided RDMA
 //     writes into per-worker run-queues, status as CQ entries on a shared
 //     completion queue; every post costs WQE build plus doorbell
 //     (`ModelParams::rdma_*`), and visibility adds the poller's skew.
@@ -24,7 +24,7 @@
 // entry carries a sequence number, the worker's kStarted CQE is the dispatch
 // ack, an RTO re-posts the write and the worker dedupes by seq), and
 // adaptive K fed by the run-queue sojourn on kCompleted CQEs. The coherent
-// path keeps the status table fresh, so the factory leaves both off there.
+// path keeps the status table fresh, so both stay off there.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@
 #include "core/central_queue.h"
 #include "core/core_status.h"
 #include "core/host_worker.h"
-#include "core/model_params.h"
+#include "core/host_spec.h"
 #include "core/packet_pump.h"
 #include "core/reliable_dispatch.h"
 #include "core/server.h"
@@ -53,50 +53,14 @@ namespace nicsched::core {
 class NicSchedServer final : public FaultableServer,
                              private SliceTimer::Hooks {
  public:
-  /// The host↔NIC path; see the header comment.
-  enum class Transport { kRdma, kCxl };
-
-  struct Config {
-    Transport transport = Transport::kRdma;
-    std::size_t worker_count = 4;
-    /// Requests outstanding per worker. The sub-µs path makes small values
-    /// viable (§5.2) — the dispatch-path ablation's headline is K=1.
-    std::uint32_t outstanding_per_worker = 2;
-    bool preemption_enabled = true;
-    sim::Duration time_slice = sim::Duration::micros(10);
-    std::uint16_t udp_port = 8080;
-    /// Selection policy for the centralized task queue.
-    QueuePolicy queue_policy = QueuePolicy::kFcfs;
-    /// §5.2: a scheduler that bounds per-core outstanding requests can DDIO
-    /// payloads into L1.
-    hw::PlacementPolicy placement = hw::PlacementPolicy::kDdioL1;
-    /// Reliable dispatch (DESIGN §9) degraded onto doorbell/CQ semantics;
-    /// off by default so baseline runs carry no seq tracking.
-    ReliabilityParams reliability;
-    /// Overload control (DESIGN §11): admission + shedding in the ASIC
-    /// pipeline, adaptive-K fed by worker sojourn samples on kCompleted CQ
-    /// entries. Off by default.
-    overload::OverloadParams overload;
-    /// Rack-level load feedback (DESIGN §12): responses echo the request's
-    /// NIC-queue sojourn as a version-2 frame for ToR snooping. Off by
-    /// default.
-    bool load_feedback = false;
-    /// Multi-tenant dispatch/admission (DESIGN §13) in the ASIC pipeline.
-    /// Off by default.
-    tenant::TenantParams tenant;
-    /// Extra delay before a CQ sojourn sample folds into the adaptive-K
-    /// governor (DESIGN §15, shared with the offload family). Zero =
-    /// synchronous fold, bit for bit.
-    sim::Duration feedback_staleness = sim::Duration::zero();
-  };
-
+  /// kRain takes the RDMA path; kIdealNic and kRpcValet take the CXL path
+  /// (see nic_server.cpp for what each kind overrides in `spec`).
   NicSchedServer(sim::Simulator& sim, net::EthernetSwitch& network,
-                 const ModelParams& params, Config config);
+                 const HostSpec& spec);
   ~NicSchedServer() override;
 
   net::MacAddress ingress_mac() const override;
   net::Ipv4Address ingress_ip() const override;
-  std::uint16_t port() const override { return config_.udp_port; }
   std::string name() const override { return cxl() ? "ideal-nic" : "rain"; }
   ServerStats stats(sim::Duration elapsed) const override;
   ServerTelemetry telemetry() const override;
@@ -111,7 +75,7 @@ class NicSchedServer final : public FaultableServer,
  private:
   class Worker;
 
-  bool cxl() const { return config_.transport == Transport::kCxl; }
+  bool cxl() const { return spec_.system != SystemKind::kRain; }
 
   hw::CpuCore& worker_core(std::uint32_t worker) override;
   bool work_waiting() const override { return !central_.empty(); }
@@ -124,14 +88,13 @@ class NicSchedServer final : public FaultableServer,
   void fold_sojourn(std::size_t worker, sim::Duration sojourn);
   std::uint64_t drops() const;
 
-  bool reliable() const { return config_.reliability.enabled; }
+  bool reliable() const { return spec_.reliability.enabled; }
   void post_run_queue_entry(std::size_t worker,
                             const proto::RequestDescriptor& descriptor,
                             std::uint64_t seq);
 
   sim::Simulator& sim_;
-  ModelParams params_;
-  Config config_;
+  HostSpec spec_;
   /// The host↔NIC path's visibility latency and ASIC-side post cost; every
   /// run-queue and the completion queue share it.
   net::RdmaQueuePair::Config link_;

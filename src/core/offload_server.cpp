@@ -64,8 +64,8 @@ class ShinjukuOffloadServer::Worker {
         id_(id),
         vf_(vf),
         core_(server.sim_,
-              host_core(server.params_, "worker" + std::to_string(id))),
-        timer_(server.sim_, core_, server.config_.timer_costs) {
+              host_core(server.spec_.params, "worker" + std::to_string(id))),
+        timer_(server.sim_, core_, server.spec_.timer_costs) {
     vf_.ring(0).set_on_packet([this]() {
       if (idle_) start_next();
     });
@@ -94,11 +94,11 @@ class ShinjukuOffloadServer::Worker {
     // whatever cache level it survived); arming the preemption timer costs
     // 40 cycles through the Dune-mapped APIC registers (§3.4.4).
     sim::Duration prologue =
-        server_.params_.worker_pop_cost +
-        hw::payload_touch_cost(server_.config_.placement,
-                               server_.params_.cache_costs, queued_behind,
+        server_.spec_.params.worker_pop_cost +
+        hw::payload_touch_cost(server_.placement_,
+                               server_.spec_.params.cache_costs, queued_behind,
                                ddio_);
-    if (server_.config_.preemption_enabled) {
+    if (server_.spec_.preemption_enabled) {
       prologue += timer_.set_cost();
     }
     core_.run(prologue, [this, p = std::move(*packet)]() {
@@ -166,7 +166,7 @@ class ShinjukuOffloadServer::Worker {
     if (descriptor.preempt_count > 0) {
       // Resuming a previously preempted request: restore its context
       // (stack + registers) from host DRAM.
-      core_.run(server_.params_.context_restore_cost,
+      core_.run(server_.spec_.params.context_restore_cost,
                 [this, descriptor]() { execute(descriptor); });
     } else {
       execute(descriptor);
@@ -186,8 +186,8 @@ class ShinjukuOffloadServer::Worker {
                       obs::SpanKind::kService, lane);
     }
     current_ = descriptor;
-    if (server_.config_.preemption_enabled) {
-      timer_.arm(server_.config_.time_slice,
+    if (server_.spec_.preemption_enabled) {
+      timer_.arm(server_.spec_.time_slice,
                  [this](sim::Duration remaining) { on_preempted(remaining); });
     }
     core_.run_preemptible(
@@ -213,7 +213,7 @@ class ShinjukuOffloadServer::Worker {
 
     // Respond to the client directly, then notify the dispatcher (§3.4
     // step 5); both are frames built and sent by this worker.
-    core_.run(server_.params_.response_build_cost, [this, descriptor]() {
+    core_.run(server_.spec_.params.response_build_cost, [this, descriptor]() {
       net::DatagramAddress address;
       address.src_mac = vf_.mac();
       address.dst_mac = descriptor.client_mac;
@@ -223,7 +223,7 @@ class ShinjukuOffloadServer::Worker {
       address.dst_port = descriptor.client_port;
       auto& scratch = proto::serialization_scratch();
       auto response = make_response(descriptor);
-      if (server_.config_.load_feedback) {
+      if (server_.spec_.load_feedback) {
         // Echo the worker's queue-sojourn sample client-ward (DESIGN §12)
         // so the ToR layer can snoop per-server load off this response.
         response.has_sojourn = true;
@@ -234,7 +234,7 @@ class ShinjukuOffloadServer::Worker {
       vf_.transmit(net::make_udp_datagram(address, scratch));
       ++responses_sent_;
 
-      core_.run(server_.params_.packet_build_cost, [this, descriptor]() {
+      core_.run(server_.spec_.params.packet_build_cost, [this, descriptor]() {
         if (server_.reliable()) {
           send_note(false, descriptor);
         } else {
@@ -279,8 +279,8 @@ class ShinjukuOffloadServer::Worker {
 
     // Save the context to host DRAM, then ship the descriptor back to the
     // dispatcher as a preemption notification.
-    const sim::Duration cost = server_.params_.context_save_cost +
-                               server_.params_.packet_build_cost;
+    const sim::Duration cost = server_.spec_.params.context_save_cost +
+                               server_.spec_.params.packet_build_cost;
     core_.run(cost, [this, descriptor]() {
       if (server_.reliable()) {
         send_note(true, descriptor);
@@ -309,7 +309,7 @@ class ShinjukuOffloadServer::Worker {
     }
     PendingNote pending;
     pending.payload = note.serialize();
-    pending.next_rto = server_.config_.reliability.rto;
+    pending.next_rto = server_.spec_.reliability.rto;
     vf_.transmit(net::make_udp_datagram(dispatcher_address(), pending.payload));
     pending.timer = server_.sim_.after(
         pending.next_rto, [this, seq = note.seq]() { retransmit_note(seq); });
@@ -329,8 +329,8 @@ class ShinjukuOffloadServer::Worker {
       vf_.transmit(
           net::make_udp_datagram(dispatcher_address(), pending.payload));
       sim::Duration next =
-          pending.next_rto * server_.config_.reliability.backoff;
-      const sim::Duration cap = server_.config_.reliability.rto * 8.0;
+          pending.next_rto * server_.spec_.reliability.backoff;
+      const sim::Duration cap = server_.spec_.reliability.rto * 8.0;
       pending.next_rto = next > cap ? cap : next;
     }
     pending.timer = server_.sim_.after(pending.next_rto,
@@ -345,8 +345,8 @@ class ShinjukuOffloadServer::Worker {
   }
 
   bool sojourn_sampling() const {
-    return server_.config_.overload.enabled &&
-           server_.config_.overload.adaptive_k_enabled;
+    return server_.spec_.overload.enabled &&
+           server_.spec_.overload.adaptive_k_enabled;
   }
 
   net::DatagramAddress dispatcher_address() const {
@@ -389,25 +389,24 @@ class ShinjukuOffloadServer::Worker {
 
 ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
                                              net::EthernetSwitch& network,
-                                             const ModelParams& params,
-                                             Config config)
-    : FaultableServer(network, config.worker_count),
+                                             const HostSpec& spec)
+    : FaultableServer(network, spec.worker_count),
       sim_(sim),
-      params_(params),
-      config_(config),
-      arm_nic_(sim, arm_nic_config(params)),
-      networker_core_(sim, arm_core(params, "arm-networker")),
-      d1_core_(sim, arm_core(params, "arm-d1-queue")),
-      d3_core_(sim, arm_core(params, "arm-d3-poll")),
-      intake_channel_(sim, params.cacheline_ipc_latency),
-      note_channel_(sim, params.cacheline_ipc_latency),
-      central_(config.queue_policy, config.overload, config.tenant),
-      status_(config.worker_count, config.outstanding_per_worker),
-      host_nic_(sim, host_nic_config(params)),
-      adaptive_k_(config.overload, config.worker_count,
-                  config.outstanding_per_worker),
-      reliable_(sim, config.reliability, status_,
-                config.overload.enabled && config.overload.adaptive_k_enabled
+      spec_(spec),
+      placement_(spec.placement.value_or(hw::PlacementPolicy::kDdioLlc)),
+      arm_nic_(sim, arm_nic_config(spec.params)),
+      networker_core_(sim, arm_core(spec.params, "arm-networker")),
+      d1_core_(sim, arm_core(spec.params, "arm-d1-queue")),
+      d3_core_(sim, arm_core(spec.params, "arm-d3-poll")),
+      intake_channel_(sim, spec.params.cacheline_ipc_latency),
+      note_channel_(sim, spec.params.cacheline_ipc_latency),
+      central_(spec.queue_policy, spec.overload, spec.tenant),
+      status_(spec.worker_count, spec.outstanding_per_worker),
+      host_nic_(sim, host_nic_config(spec.params)),
+      adaptive_k_(spec.overload, spec.worker_count,
+                  spec.outstanding_per_worker),
+      reliable_(sim, spec.reliability, status_,
+                spec.overload.enabled && spec.overload.adaptive_k_enabled
                     ? &adaptive_k_
                     : nullptr,
                 "d1",
@@ -420,14 +419,15 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
                    central_.push_preempted(std::move(descriptor), sim_.now());
                  },
                  [this]() { d1_kick(); }}) {
-  if (config_.worker_count == 0) {
+  if (spec_.worker_count == 0) {
     throw std::invalid_argument("ShinjukuOffloadServer: need >= 1 worker");
   }
-  if (config_.outstanding_per_worker == 0) {
+  if (spec_.outstanding_per_worker == 0) {
     throw std::invalid_argument("ShinjukuOffloadServer: K must be >= 1");
   }
-  if (config_.sender_cores == 0 || config_.sender_cores > 5) {
-    // 8 ARM cores total minus networker, D1, and D3.
+  if (spec_.sender_cores == 0 || spec_.sender_cores > 5) {
+    // The paper's prototype uses one D2 core; the Stingray has 8 ARM cores,
+    // so up to 5 can play D2 alongside the networker, D1, and D3.
     throw std::invalid_argument(
         "ShinjukuOffloadServer: sender_cores must be in [1, 5]");
   }
@@ -437,37 +437,37 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
   arm_disp_ = &arm_nic_.add_interface(
       "arm-disp", net::MacAddress::from_index(kArmDispIndex),
       net::Ipv4Address::from_index(kArmDispIndex));
-  arm_nic_.attach_to_switch(network, params_.stingray_port_latency,
-                            params_.line_rate_gbps);
-  if (config_.tx_batch_frames > 0) {
-    arm_disp_->enable_tx_batching(config_.tx_batch_frames,
-                                  config_.tx_batch_timeout);
+  arm_nic_.attach_to_switch(network, spec_.params.stingray_port_latency,
+                            spec_.params.line_rate_gbps);
+  if (spec_.tx_batch_frames > 0) {
+    arm_disp_->enable_tx_batching(spec_.tx_batch_frames,
+                                  spec_.tx_batch_timeout);
   }
 
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     const std::uint32_t index =
         kWorkerBaseIndex + static_cast<std::uint32_t>(i);
     host_nic_.add_interface("vf" + std::to_string(i),
                             net::MacAddress::from_index(index),
                             net::Ipv4Address::from_index(index));
   }
-  host_nic_.attach_to_switch(network, params_.stingray_port_latency,
-                             params_.line_rate_gbps);
+  host_nic_.attach_to_switch(network, spec_.params.stingray_port_latency,
+                             spec_.params.line_rate_gbps);
 
   networker_pump_ = std::make_unique<PacketPump>(
-      networker_core_, arm_net_->ring(0), params_.networker_parse_cost,
+      networker_core_, arm_net_->ring(0), spec_.params.networker_parse_cost,
       [this](net::Packet packet) { networker_handle(packet); });
   d3_pump_ = std::make_unique<PacketPump>(
-      d3_core_, arm_disp_->ring(0), params_.notification_parse_cost,
+      d3_core_, arm_disp_->ring(0), spec_.params.notification_parse_cost,
       [this](net::Packet packet) { d3_handle(std::move(packet)); });
-  for (std::size_t i = 0; i < config_.sender_cores; ++i) {
+  for (std::size_t i = 0; i < spec_.sender_cores; ++i) {
     SenderCore sender;
     sender.core = std::make_unique<hw::CpuCore>(
-        sim, arm_core(params, "arm-d2-send" + std::to_string(i)));
+        sim, arm_core(spec_.params, "arm-d2-send" + std::to_string(i)));
     sender.channel = std::make_unique<hw::MessageChannel<Assignment>>(
-        sim, params.dedicated_poll_latency);
+        sim, spec_.params.dedicated_poll_latency);
     sender.pump = std::make_unique<ChannelPump<Assignment>>(
-        *sender.core, *sender.channel, params_.packet_build_cost,
+        *sender.core, *sender.channel, spec_.params.packet_build_cost,
         [this](Assignment assignment) { d2_send(std::move(assignment)); });
     senders_.push_back(std::move(sender));
   }
@@ -475,14 +475,14 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
   intake_channel_.set_on_message([this]() { d1_kick(); });
   note_channel_.set_on_message([this]() { d1_kick(); });
 
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     workers_.push_back(std::make_unique<Worker>(
         *this, i,
         *host_nic_.interface_by_mac(net::MacAddress::from_index(
             kWorkerBaseIndex + static_cast<std::uint32_t>(i)))));
   }
-  seen_note_seqs_.reserve(config_.worker_count);
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  seen_note_seqs_.reserve(spec_.worker_count);
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     seen_note_seqs_.emplace_back(&note_arena_);
   }
 }
@@ -502,7 +502,7 @@ void ShinjukuOffloadServer::networker_handle(const net::Packet& packet) {
   // backlog before spending any dispatcher work.
   nic_ingress(
       sim_,
-      {*arm_net_, config_.udp_port, 0, "networker", requests_received_,
+      {*arm_net_, kRequestPort, 0, "networker", requests_received_,
        malformed_},
       packet, central_, intake_channel_.depth(),
       [this](std::uint64_t id) { central_.cancel(id); },
@@ -522,11 +522,11 @@ void ShinjukuOffloadServer::d1_kick() {
 // the ARM core's speed bounds dispatcher throughput.
 void ShinjukuOffloadServer::d1_step() {
   if (!note_channel_.empty()) {
-    d1_core_.run(params_.dispatch_note_cost, [this]() {
+    d1_core_.run(spec_.params.dispatch_note_cost, [this]() {
       auto note = note_channel_.pop();
       if (note) {
         status_.note_retired(note->worker, sim_.now());
-        if (config_.overload.enabled && config_.overload.adaptive_k_enabled &&
+        if (spec_.overload.enabled && spec_.overload.adaptive_k_enabled &&
             note->has_sojourn) {
           // Adaptive-K backpressure: fold the piggybacked sojourn sample and
           // apply the governor's bound to the status table immediately — or,
@@ -536,13 +536,13 @@ void ShinjukuOffloadServer::d1_step() {
           const std::size_t sojourn_worker = note->worker;
           const sim::Duration sojourn = sim::Duration::picos(
               static_cast<std::int64_t>(note->sojourn_ps));
-          if (config_.feedback_staleness.is_zero()) {
+          if (spec_.feedback_staleness.is_zero()) {
             status_.set_capacity(sojourn_worker,
                                  static_cast<std::uint32_t>(
                                      adaptive_k_.observe_sojourn(sojourn_worker,
                                                                  sojourn)));
           } else {
-            sim_.after(config_.feedback_staleness,
+            sim_.after(spec_.feedback_staleness,
                        [this, sojourn_worker, sojourn]() {
                          status_.set_capacity(
                              sojourn_worker,
@@ -567,7 +567,7 @@ void ShinjukuOffloadServer::d1_step() {
     return;
   }
   if (!central_.empty() && status_.pick_least_loaded().has_value()) {
-    d1_core_.run(params_.dispatch_assign_cost, [this]() {
+    d1_core_.run(spec_.params.dispatch_assign_cost, [this]() {
       const auto worker = status_.pick_least_loaded();
       if (worker) {
         sim::Duration queue_delay;
@@ -605,7 +605,7 @@ void ShinjukuOffloadServer::d1_step() {
     return;
   }
   if (!intake_channel_.empty()) {
-    d1_core_.run(params_.dispatch_enqueue_cost, [this]() {
+    d1_core_.run(spec_.params.dispatch_enqueue_cost, [this]() {
       auto descriptor = intake_channel_.pop();
       if (descriptor) central_.push_new(std::move(*descriptor), sim_.now());
       d1_step();
@@ -658,7 +658,7 @@ void ShinjukuOffloadServer::d3_handle(net::Packet packet) {
     return;
   }
   std::size_t worker_id = 0;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     if (net::MacAddress::from_index(kWorkerBaseIndex +
                                     static_cast<std::uint32_t>(i)) ==
         datagram->eth.src) {
@@ -771,7 +771,7 @@ std::uint64_t ShinjukuOffloadServer::drops() const {
                         host_nic_.rx_unknown_mac_drops() + malformed_ +
                         arm_net_->ring(0).stats().dropped +
                         arm_disp_->ring(0).stats().dropped;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
+  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
     // Ring overflow on a worker VF would break the dispatcher's outstanding
     // accounting; surfacing it in drops makes that visible.
     const auto* vf = host_nic_.interface_by_mac(net::MacAddress::from_index(

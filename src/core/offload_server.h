@@ -28,7 +28,7 @@
 
 #include "core/central_queue.h"
 #include "core/core_status.h"
-#include "core/model_params.h"
+#include "core/host_spec.h"
 #include "core/packet_pump.h"
 #include "core/reliable_dispatch.h"
 #include "core/server.h"
@@ -44,66 +44,12 @@ namespace nicsched::core {
 
 class ShinjukuOffloadServer final : public FaultableServer {
  public:
-  struct Config {
-    std::size_t worker_count = 4;
-    /// The queuing optimization's K: requests outstanding per worker
-    /// (executing + stashed in the worker's RX ring), §3.4.5.
-    std::uint32_t outstanding_per_worker = 4;
-    bool preemption_enabled = true;
-    sim::Duration time_slice = sim::Duration::micros(10);
-    /// Dune-mapped APIC by default; linux_signal() for the §3.4.4 ablation.
-    hw::TimerCosts timer_costs = hw::TimerCosts::dune();
-    std::uint16_t udp_port = 8080;
-    /// ARM cores dedicated to building/sending assignment frames (the D2
-    /// role). The paper's prototype uses one; the Stingray has 8 ARM cores
-    /// total, so up to 5 can play D2 alongside networker+D1+D3. The §5.1
-    /// ablation asks whether throwing cores at the software dispatcher
-    /// rescues Figure 6 (bench/ablation_arm_cores).
-    std::size_t sender_cores = 1;
-    /// Optional DPDK-style TX batching on D2's interface: 0 = flush every
-    /// frame immediately (the calibrated default, preserving the 2.56 µs
-    /// one-way path); >0 = batch up to this many frames or until
-    /// `tx_batch_timeout` elapses. Exposed for the batching ablation bench.
-    std::size_t tx_batch_frames = 0;
-    sim::Duration tx_batch_timeout = sim::Duration::micros(8);
-    /// Selection policy for the centralized task queue.
-    QueuePolicy queue_policy = QueuePolicy::kFcfs;
-    /// Where the Stingray writes assignment payloads on the host (§5.2).
-    /// DDIO into the LLC is what the real hardware does; kDdioL1 models the
-    /// paper's proposal and pays off only while K keeps the per-worker
-    /// backlog under the L1 budget.
-    hw::PlacementPolicy placement = hw::PlacementPolicy::kDdioLlc;
-    /// Reliable dispatcher↔worker protocol (DESIGN §9). Off by default so
-    /// the baseline frame flow stays bit-identical.
-    ReliabilityParams reliability;
-    /// Overload control (DESIGN §11): informed admission at the networker,
-    /// deadline shedding at D1's pop, adaptive-K from worker sojourn
-    /// samples. Off by default — disabled runs stay bit-identical.
-    overload::OverloadParams overload;
-    /// Rack-level load feedback (DESIGN §12): workers echo their queue
-    /// sojourn sample on client-bound responses (version-2 frames) so a ToR
-    /// scheduler can snoop per-server load. Off by default — responses stay
-    /// version-1 and runs stay bit-identical.
-    bool load_feedback = false;
-    /// Multi-tenant dispatch/admission (DESIGN §13): per-tenant queues with
-    /// strict SLO-class priority + DRR replace the central TaskQueue, and
-    /// per-tenant EWMA gates replace the global admission gate. Off by
-    /// default — the classic single-queue path runs bit for bit.
-    tenant::TenantParams tenant;
-    /// Feedback staleness (DESIGN §15): extra delay before a worker sojourn
-    /// sample folds into the adaptive-K governor, modelling control loops
-    /// whose load signal lags the data path (the bilateral-feedback
-    /// critique). Zero = the synchronous fold, bit for bit.
-    sim::Duration feedback_staleness = sim::Duration::zero();
-  };
-
   ShinjukuOffloadServer(sim::Simulator& sim, net::EthernetSwitch& network,
-                        const ModelParams& params, Config config);
+                        const HostSpec& spec);
   ~ShinjukuOffloadServer() override;
 
   net::MacAddress ingress_mac() const override;
   net::Ipv4Address ingress_ip() const override;
-  std::uint16_t port() const override { return config_.udp_port; }
   std::string name() const override { return "shinjuku-offload"; }
   ServerStats stats(sim::Duration elapsed) const override;
   ServerTelemetry telemetry() const override;
@@ -140,14 +86,15 @@ class ShinjukuOffloadServer final : public FaultableServer {
 
   /// Hands an assignment to the next D2 sender core, round-robin.
   void send_assignment(Assignment assignment);
-  bool reliable() const { return config_.reliability.enabled; }
+  bool reliable() const { return spec_.reliability.enabled; }
   hw::CpuCore& worker_core(std::uint32_t worker) override;
   std::uint64_t drops() const;
   void handle_sequenced_note(std::size_t worker, proto::SequencedNote note);
 
   sim::Simulator& sim_;
-  ModelParams params_;
-  Config config_;
+  HostSpec spec_;
+  /// Where the Stingray writes assignment payloads on the host (§5.2).
+  hw::PlacementPolicy placement_;
 
   // --- Stingray ARM side -------------------------------------------------
   net::Nic arm_nic_;

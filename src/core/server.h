@@ -174,6 +174,10 @@ class Server {
 /// family's dispatch path crosses a lossy fabric and overrides it.
 class FaultableServer : public Server, public fault::FaultSurface {
  public:
+  /// The UDP port every server family takes client requests on.
+  static constexpr std::uint16_t kRequestPort = 8080;
+
+  std::uint16_t port() const override { return kRequestPort; }
   fault::FaultSurface* fault_surface() override { return this; }
   std::uint32_t fault_worker_count() const override { return worker_count_; }
   void inject_ingress_loss(double probability, std::uint64_t seed) override {

@@ -1,13 +1,11 @@
-// The one place a host specification becomes a concrete server system.
-// ClusterBuilder, benches, examples, and the testbed all construct servers
-// through make_host_server so per-system Config mapping (and modelling
-// decisions like RPCValet's 50 ns feedback latency) is not copy-pasted at
-// every call site.
+// The one place a host specification becomes a concrete server system:
+// picks the family for `spec.system`. Each family reads its own knobs (and
+// derives its kind-specific values) from the spec.
 #pragma once
 
 #include <memory>
 
-#include "core/cluster.h"
+#include "core/host_spec.h"
 #include "core/server.h"
 #include "net/ethernet_switch.h"
 #include "sim/simulator.h"

@@ -42,20 +42,20 @@ hw::CpuCore::Config smt_core(const ModelParams& params, std::string name) {
 class ShinjukuServer::Worker final : public HostWorker {
  public:
   Worker(Group& group, std::size_t id, std::size_t global_id)
-      : HostWorker(group.server.sim_, group.server.params_,
+      : HostWorker(group.server.sim_, group.server.spec_.params,
                    {"worker" + std::to_string(group.index) + "." +
                         std::to_string(id),
                     global_id,
                     static_cast<std::uint32_t>(100 + group.index * 100 + id),
-                    group.server.params_.interrupt_delivery_latency,
-                    group.server.params_.worker_pop_cost,
-                    group.server.params_.cacheline_ipc_cost,
+                    group.server.spec_.params.interrupt_delivery_latency,
+                    group.server.spec_.params.worker_pop_cost,
+                    group.server.spec_.params.cacheline_ipc_cost,
                     hw::PlacementPolicy::kDdioLlc, group.server.pf_,
-                    kWorkerPort, group.server.config_.load_feedback}),
+                    kWorkerPort, group.server.spec_.load_feedback}),
         group_(group),
         id_(id),
         assign_channel_(group.server.sim_,
-                        group.server.params_.dedicated_poll_latency) {
+                        group.server.spec_.params.dedicated_poll_latency) {
     assign_channel_.set_on_message([this]() { wake(); });
   }
 
@@ -93,27 +93,29 @@ ShinjukuServer::Group::Group(ShinjukuServer& server_ref, std::size_t index_arg,
     : server(server_ref),
       index(index_arg),
       networker_core(server_ref.sim_,
-                     smt_core(server_ref.params_,
+                     smt_core(server_ref.spec_.params,
                               "networker" + std::to_string(index_arg))),
       dispatcher_core(server_ref.sim_,
-                      smt_core(server_ref.params_,
+                      smt_core(server_ref.spec_.params,
                                "dispatcher" + std::to_string(index_arg))),
-      intake_channel(server_ref.sim_, server_ref.params_.cacheline_ipc_latency),
+      intake_channel(server_ref.sim_,
+                     server_ref.spec_.params.cacheline_ipc_latency),
       // Worker completion flags are the dispatcher loop's primary input; it
       // scans the few worker context lines tightly.
-      note_channel(server_ref.sim_, server_ref.params_.dedicated_poll_latency),
-      central(server_ref.config_.queue_policy, server_ref.config_.overload,
-              server_ref.config_.tenant),
+      note_channel(server_ref.sim_,
+                   server_ref.spec_.params.dedicated_poll_latency),
+      central(server_ref.spec_.queue_policy, server_ref.spec_.overload,
+              server_ref.spec_.tenant),
       status(worker_count, /*capacity=*/1),
-      slice(server_ref.sim_, server_ref.config_.time_slice,
-            server_ref.config_.preemption_enabled, worker_count, *this),
+      slice(server_ref.sim_, server_ref.spec_.time_slice,
+            server_ref.spec_.preemption_enabled, worker_count, *this),
       held(worker_count) {}
 
 void ShinjukuServer::Group::send_preempt(std::size_t worker) {
   // The dispatcher spends cycles writing the ICR; delivery and the handler
   // entry are modelled by the worker's interrupt line.
   dispatcher_core.run(
-      dispatcher_core.cycles(server.params_.interrupt_send_cycles),
+      dispatcher_core.cycles(server.spec_.params.interrupt_send_cycles),
       [this, worker]() { workers[worker]->interrupt(); });
 }
 
@@ -121,40 +123,39 @@ void ShinjukuServer::Group::send_preempt(std::size_t worker) {
 
 ShinjukuServer::ShinjukuServer(sim::Simulator& sim,
                                net::EthernetSwitch& network,
-                               const ModelParams& params, Config config)
-    : FaultableServer(network, config.worker_count),
+                               const HostSpec& spec)
+    : FaultableServer(network, spec.worker_count),
       sim_(sim),
-      params_(params),
-      config_(config),
-      nic_(sim, nic_config(params)) {
-  if (config_.worker_count == 0) {
+      spec_(spec),
+      nic_(sim, nic_config(spec.params)) {
+  if (spec_.worker_count == 0) {
     throw std::invalid_argument("ShinjukuServer: need >= 1 worker");
   }
-  if (config_.dispatcher_count == 0 ||
-      config_.dispatcher_count > config_.worker_count) {
+  if (spec_.dispatcher_count == 0 ||
+      spec_.dispatcher_count > spec_.worker_count) {
     throw std::invalid_argument(
         "ShinjukuServer: dispatcher_count must be in [1, worker_count]");
   }
 
   pf_ = &nic_.add_interface("shinjuku-pf", net::MacAddress::from_index(kPfIndex),
                             net::Ipv4Address::from_index(kPfIndex),
-                            config_.dispatcher_count);
-  if (config_.dispatcher_count > 1) {
+                            spec_.dispatcher_count);
+  if (spec_.dispatcher_count > 1) {
     // §2.2: "RSS can be used to route packets from the NIC to different
     // dispatchers, but this can again result in load imbalance."
     pf_->use_rss();
   }
-  nic_.attach_to_switch(network, params_.stingray_port_latency,
-                        params_.line_rate_gbps);
+  nic_.attach_to_switch(network, spec_.params.stingray_port_latency,
+                        spec_.params.line_rate_gbps);
 
   // Partition workers round-robin so uneven counts stay near-balanced:
   // global worker w is slot w / G of group w % G.
-  const std::size_t groups = config_.dispatcher_count;
+  const std::size_t groups = spec_.dispatcher_count;
   for (std::size_t g = 0; g < groups; ++g) {
     groups_.push_back(std::make_unique<Group>(
-        *this, g, (config_.worker_count - g + groups - 1) / groups));
+        *this, g, (spec_.worker_count - g + groups - 1) / groups));
   }
-  for (std::size_t w = 0; w < config_.worker_count; ++w) {
+  for (std::size_t w = 0; w < spec_.worker_count; ++w) {
     Group& group = *groups_[w % groups];
     workers_.push_back(
         std::make_unique<Worker>(group, group.workers.size(), w));
@@ -164,7 +165,7 @@ ShinjukuServer::ShinjukuServer(sim::Simulator& sim,
     Group& group = *group_ptr;
     group.networker_pump = std::make_unique<PacketPump>(
         group.networker_core, pf_->ring(group.index),
-        params_.networker_parse_cost, [this, &group](net::Packet packet) {
+        spec_.params.networker_parse_cost, [this, &group](net::Packet packet) {
           networker_handle(group, packet);
         });
     group.intake_channel.set_on_message(
@@ -196,7 +197,7 @@ void ShinjukuServer::networker_handle(Group& group,
   // is harmless (ids are unique per run).
   nic_ingress(
       sim_,
-      {*pf_, config_.udp_port, static_cast<std::uint32_t>(group.index),
+      {*pf_, kRequestPort, static_cast<std::uint32_t>(group.index),
        "networker", group.requests_received, group.malformed},
       packet, group.central, group.intake_channel.depth(),
       [this](std::uint64_t id) {
@@ -214,8 +215,9 @@ void ShinjukuServer::dispatcher_kick(Group& group) {
 }
 
 void ShinjukuServer::dispatcher_step(Group& group) {
+  const ModelParams& params = spec_.params;
   if (!group.note_channel.empty()) {
-    group.dispatcher_core.run(params_.dispatch_note_cost, [this, &group]() {
+    group.dispatcher_core.run(params.dispatch_note_cost, [this, &group]() {
       auto note = group.note_channel.pop();
       if (note && reliable() && !group.status.entry(note->worker).healthy) {
         // Any note proves the worker is alive again.
@@ -244,7 +246,7 @@ void ShinjukuServer::dispatcher_step(Group& group) {
   }
   if (!group.central.empty() && group.status.pick_least_loaded().has_value()) {
     group.dispatcher_core.run(
-        params_.dispatch_assign_cost + params_.cacheline_ipc_cost,
+        params.dispatch_assign_cost + params.cacheline_ipc_cost,
         [this, &group]() {
           const auto worker = group.status.pick_least_loaded();
           if (worker) {
@@ -273,7 +275,7 @@ void ShinjukuServer::dispatcher_step(Group& group) {
                 group.held[*worker] = *descriptor;
                 arm_liveness(group, *worker, epoch);
               }
-              if (config_.load_feedback) {
+              if (spec_.load_feedback) {
                 group.workers[*worker]->push_pending_sojourn(queue_delay);
               }
               group.workers[*worker]->assign_channel().send(
@@ -285,7 +287,7 @@ void ShinjukuServer::dispatcher_step(Group& group) {
     return;
   }
   if (!group.intake_channel.empty()) {
-    group.dispatcher_core.run(params_.dispatch_enqueue_cost, [this, &group]() {
+    group.dispatcher_core.run(params.dispatch_enqueue_cost, [this, &group]() {
       auto descriptor = group.intake_channel.pop();
       if (descriptor) {
         group.central.push_new(std::move(*descriptor), sim_.now());
@@ -315,7 +317,7 @@ void ShinjukuServer::arm_liveness(Group& group, std::size_t worker,
   // itself going silent mid-request: if the assignment is still active when
   // the timeout fires (same epoch — a newer assignment re-arms its own
   // watchdog), declare the worker dead and re-steer the request.
-  sim_.after(config_.reliability.completion_timeout,
+  sim_.after(spec_.reliability.completion_timeout,
              [this, &group, worker, epoch]() {
                if (!group.slice.running(worker) ||
                    group.slice.token(worker) != epoch) {

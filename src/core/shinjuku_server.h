@@ -25,8 +25,8 @@
 
 #include "core/central_queue.h"
 #include "core/core_status.h"
+#include "core/host_spec.h"
 #include "core/host_worker.h"
-#include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
 #include "core/slice_timer.h"
@@ -40,43 +40,12 @@ namespace nicsched::core {
 
 class ShinjukuServer final : public FaultableServer {
  public:
-  struct Config {
-    std::size_t worker_count = 3;
-    /// Independent networker+dispatcher pairs; workers are partitioned
-    /// round-robin across them and client flows are RSS-steered.
-    std::size_t dispatcher_count = 1;
-    bool preemption_enabled = true;
-    sim::Duration time_slice = sim::Duration::micros(10);
-    std::uint16_t udp_port = 8080;
-    /// Selection policy for each group's centralized task queue.
-    QueuePolicy queue_policy = QueuePolicy::kFcfs;
-    /// Reliable dispatch (DESIGN §9). Channels here are lossless cache-line
-    /// IPC, so only the liveness watchdog applies: a worker that holds an
-    /// assignment past `reliability.completion_timeout` is declared dead and
-    /// its request re-steered. Off by default.
-    ReliabilityParams reliability;
-    /// Overload control (DESIGN §11): per-group informed admission at the
-    /// networker plus deadline shedding at the dispatcher's pop. Workers
-    /// here have no queuing optimization (K == 1), so adaptive-K does not
-    /// apply. Off by default.
-    overload::OverloadParams overload;
-    /// Rack-level load feedback (DESIGN §12): responses echo the request's
-    /// dispatch-queue sojourn as a version-2 frame for ToR snooping. Off by
-    /// default.
-    bool load_feedback = false;
-    /// Multi-tenant dispatch/admission (DESIGN §13), instantiated per
-    /// dispatcher group: each group runs its own SLO-priority + DRR queue
-    /// and per-tenant gates over its worker partition. Off by default.
-    tenant::TenantParams tenant;
-  };
-
   ShinjukuServer(sim::Simulator& sim, net::EthernetSwitch& network,
-                 const ModelParams& params, Config config);
+                 const HostSpec& spec);
   ~ShinjukuServer() override;
 
   net::MacAddress ingress_mac() const override;
   net::Ipv4Address ingress_ip() const override;
-  std::uint16_t port() const override { return config_.udp_port; }
   std::string name() const override { return "shinjuku"; }
   ServerStats stats(sim::Duration elapsed) const override;
   ServerTelemetry telemetry() const override;
@@ -135,7 +104,7 @@ class ShinjukuServer final : public FaultableServer {
 
   void maybe_preempt_for_waiting_work(Group& group);
 
-  bool reliable() const { return config_.reliability.enabled; }
+  bool reliable() const { return spec_.reliability.enabled; }
   void arm_liveness(Group& group, std::size_t worker, std::uint64_t epoch);
   // Fault surface: dispatch loss stays the base no-op — dispatcher↔worker
   // traffic here is lossless cache-line IPC.
@@ -143,8 +112,7 @@ class ShinjukuServer final : public FaultableServer {
   std::uint64_t drops() const;
 
   sim::Simulator& sim_;
-  ModelParams params_;
-  Config config_;
+  HostSpec spec_;
 
   net::Nic nic_;
   net::NicInterface* pf_ = nullptr;

@@ -8,8 +8,8 @@
 //    offered load (the `ExperimentConfig.with_tenants` API). The legacy
 //    single-stream knobs survive as a one-tenant shim built from them.
 //  * `TenantParams` — the server-facing dispatch/admission config derived
-//    from the specs: id → weight → SLO class, carried by every family's
-//    Config and by `HostSpec` for rack mode.
+//    from the specs: id → weight → SLO class, carried to every family by
+//    `HostSpec`.
 //  * `TenantDispatchQueue` — strict priority across SLO classes, deficit
 //    round robin (DRR) between the tenants inside a class. Deficits are in
 //    picoseconds of *work*, so a weight buys a share of worker time, not a
@@ -133,8 +133,8 @@ struct TenantClass {
   bool operator==(const TenantClass&) const = default;
 };
 
-/// Per-server tenant dispatch/admission configuration. Travels on every
-/// family's Config and on `HostSpec` for rack mode.
+/// Per-server tenant dispatch/admission configuration. Travels to every
+/// family on `HostSpec`.
 struct TenantParams {
   /// Master switch. False = the server keeps its classic single-queue path
   /// bit for bit; no per-tenant state is even allocated.

@@ -15,14 +15,14 @@ TEST(MultiDispatcher, ValidatesGroupCount) {
   const ModelParams params = ModelParams::defaults();
   net::EthernetSwitch network(sim, params.switch_forward_latency);
 
-  ShinjukuServer::Config config;
-  config.worker_count = 4;
-  config.dispatcher_count = 0;
-  EXPECT_THROW(ShinjukuServer(sim, network, params, config),
-               std::invalid_argument);
-  config.dispatcher_count = 5;  // more dispatchers than workers
-  EXPECT_THROW(ShinjukuServer(sim, network, params, config),
-               std::invalid_argument);
+  HostSpec spec;
+  spec.system = SystemKind::kShinjuku;
+  spec.worker_count = 4;
+  spec.dispatcher_count = 0;
+  spec.params = params;
+  EXPECT_THROW(ShinjukuServer(sim, network, spec), std::invalid_argument);
+  spec.dispatcher_count = 5;  // more dispatchers than workers
+  EXPECT_THROW(ShinjukuServer(sim, network, spec), std::invalid_argument);
 }
 
 TEST(MultiDispatcher, PartitionsWorkersRoundRobin) {
@@ -30,10 +30,12 @@ TEST(MultiDispatcher, PartitionsWorkersRoundRobin) {
   const ModelParams params = ModelParams::defaults();
   net::EthernetSwitch network(sim, params.switch_forward_latency);
 
-  ShinjukuServer::Config config;
-  config.worker_count = 7;
-  config.dispatcher_count = 3;
-  ShinjukuServer server(sim, network, params, config);
+  HostSpec spec;
+  spec.system = SystemKind::kShinjuku;
+  spec.worker_count = 7;
+  spec.dispatcher_count = 3;
+  spec.params = params;
+  ShinjukuServer server(sim, network, spec);
   ASSERT_EQ(server.group_count(), 3u);
   EXPECT_EQ(server.core_status(0).worker_count(), 3u);
   EXPECT_EQ(server.core_status(1).worker_count(), 2u);

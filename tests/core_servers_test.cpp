@@ -7,7 +7,9 @@
 #include "core/server_factory.h"
 #include "core/shinjuku_server.h"
 #include "core/testbed.h"
+#include "fault/fault_schedule.h"
 #include "net/ethernet_switch.h"
+#include "overload/overload.h"
 #include "workload/client.h"
 
 namespace nicsched::core {
@@ -253,11 +255,13 @@ TEST(OffloadServer, RespectsOutstandingLimit) {
   const ModelParams params = ModelParams::defaults();
   net::EthernetSwitch network(sim, params.switch_forward_latency);
 
-  ShinjukuOffloadServer::Config server_config;
-  server_config.worker_count = 2;
-  server_config.outstanding_per_worker = 3;
-  server_config.preemption_enabled = false;
-  ShinjukuOffloadServer server(sim, network, params, server_config);
+  HostSpec spec;
+  spec.system = SystemKind::kShinjukuOffload;
+  spec.worker_count = 2;
+  spec.outstanding_per_worker = 3;
+  spec.preemption_enabled = false;
+  spec.params = params;
+  ShinjukuOffloadServer server(sim, network, spec);
 
   workload::ClientMachine::Config client_config;
   client_config.client_id = 1;
@@ -290,12 +294,14 @@ TEST(OffloadServer, SenderCoreCountIsValidated) {
   sim::Simulator sim;
   const ModelParams params = ModelParams::defaults();
   net::EthernetSwitch network(sim, params.switch_forward_latency);
-  ShinjukuOffloadServer::Config config;
-  config.sender_cores = 0;
-  EXPECT_THROW(ShinjukuOffloadServer(sim, network, params, config),
+  HostSpec spec;
+  spec.system = SystemKind::kShinjukuOffload;
+  spec.params = params;
+  spec.sender_cores = 0;
+  EXPECT_THROW(ShinjukuOffloadServer(sim, network, spec),
                std::invalid_argument);
-  config.sender_cores = 6;  // only 5 ARM cores remain beside net/D1/D3
-  EXPECT_THROW(ShinjukuOffloadServer(sim, network, params, config),
+  spec.sender_cores = 6;  // only 5 ARM cores remain beside net/D1/D3
+  EXPECT_THROW(ShinjukuOffloadServer(sim, network, spec),
                std::invalid_argument);
 }
 
@@ -307,19 +313,20 @@ TEST(OffloadServer, ParallelSendersConserveAndLiftThroughput) {
   probe.worker_count = 8;
   probe.offered_rps = 3.0e6;  // far above the 1-sender ceiling (~1.3 MRPS)
 
-  // The testbed always builds 1 sender; compare via the raw server to vary
-  // sender_cores — simplest is two direct runs through run_experiment with
-  // a params/config override... sender_cores isn't in ExperimentConfig by
-  // design (it is an ablation knob), so drive the server directly.
+  // Drive the server directly with one raw client, so each run compares
+  // answered requests at the same fixed overload with a different number
+  // of D2 sender cores (HostSpec::sender_cores).
   auto run_with_senders = [&](std::size_t senders) {
     sim::Simulator sim;
     net::EthernetSwitch network(sim, probe.params.switch_forward_latency);
-    ShinjukuOffloadServer::Config server_config;
-    server_config.worker_count = probe.worker_count;
-    server_config.outstanding_per_worker = probe.outstanding_per_worker;
-    server_config.preemption_enabled = false;
-    server_config.sender_cores = senders;
-    ShinjukuOffloadServer server(sim, network, probe.params, server_config);
+    HostSpec spec;
+    spec.system = SystemKind::kShinjukuOffload;
+    spec.worker_count = probe.worker_count;
+    spec.outstanding_per_worker = probe.outstanding_per_worker;
+    spec.preemption_enabled = false;
+    spec.sender_cores = senders;
+    spec.params = probe.params;
+    ShinjukuOffloadServer server(sim, network, spec);
 
     workload::ClientMachine::Config client_config;
     client_config.client_id = 1;
@@ -351,7 +358,9 @@ TEST(OffloadServer, MalformedTrafficIsCountedNotCrashing) {
   sim::Simulator sim;
   const ModelParams params = ModelParams::defaults();
   net::EthernetSwitch network(sim, params.switch_forward_latency);
-  ShinjukuOffloadServer server(sim, network, params, {});
+  HostSpec spec;
+  spec.params = params;
+  ShinjukuOffloadServer server(sim, network, spec);
 
   // A valid UDP datagram whose payload is not a protocol message.
   net::DatagramAddress address;
@@ -372,6 +381,42 @@ TEST(OffloadServer, MalformedTrafficIsCountedNotCrashing) {
   const ServerStats stats = server.stats(sim::Duration::millis(1));
   EXPECT_EQ(stats.requests_received, 0u);
   EXPECT_EQ(stats.drops, 2u);
+}
+
+TEST(OffloadServer, FeedbackStalenessReachesTheAdaptiveKGovernor) {
+  // Repeated 300 us stalls back one worker up, so its sojourn samples drive
+  // the adaptive-K governor. A stale fold must change the run (the knob
+  // reaches the offload family) without disabling the loop.
+  overload::OverloadParams informed;
+  informed.enabled = true;
+  fault::FaultSchedule stalls;
+  for (int i = 0; i < 4; ++i) {
+    stalls.stall_worker(
+        sim::TimePoint::origin() + sim::Duration::millis(10 + i), 0,
+        sim::Duration::micros(300));
+  }
+  const auto base = ExperimentConfig::offload()
+                        .workers(4)
+                        .outstanding(4)
+                        .fixed_5us()
+                        .load(600e3)
+                        .samples(10'000)
+                        .with_seed(1)
+                        .with_overload(informed)
+                        .with_faults(stalls);
+  const auto fresh = run_experiment(
+      ExperimentConfig(base).with_feedback_staleness(sim::Duration::zero()));
+  const auto stale = run_experiment(
+      ExperimentConfig(base).with_feedback_staleness(
+          sim::Duration::micros(100)));
+  EXPECT_NE(fresh.events_fired, stale.events_fired)
+      << "feedback staleness never reached the offload governor";
+  for (const ExperimentResult* result : {&fresh, &stale}) {
+    EXPECT_GT(result->server.overload.k_shrinks, 0u);
+    const auto& t = result->clients;
+    EXPECT_EQ(t.sent, t.completed + t.rejected + t.expired + t.abandoned +
+                          t.outstanding);
+  }
 }
 
 class EveryFamily : public ::testing::TestWithParam<SystemKind> {};
@@ -426,10 +471,12 @@ TEST(ShinjukuServer, FifoOrderWithSingleWorker) {
   const ModelParams params = ModelParams::defaults();
   net::EthernetSwitch network(sim, params.switch_forward_latency);
 
-  ShinjukuServer::Config server_config;
-  server_config.worker_count = 1;
-  server_config.preemption_enabled = false;
-  ShinjukuServer server(sim, network, params, server_config);
+  HostSpec spec;
+  spec.system = SystemKind::kShinjuku;
+  spec.worker_count = 1;
+  spec.preemption_enabled = false;
+  spec.params = params;
+  ShinjukuServer server(sim, network, spec);
 
   workload::ClientMachine::Config client_config;
   client_config.client_id = 1;

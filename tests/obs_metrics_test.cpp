@@ -81,10 +81,12 @@ TEST(ServerTelemetry, RingOverflowDropsReachTelemetry) {
   params.ring_capacity = 2;
   net::EthernetSwitch network(sim, params.switch_forward_latency);
 
-  core::ShinjukuServer::Config config;
-  config.worker_count = 1;
-  config.preemption_enabled = false;
-  core::ShinjukuServer server(sim, network, params, config);
+  core::HostSpec spec;
+  spec.system = core::SystemKind::kShinjuku;
+  spec.worker_count = 1;
+  spec.preemption_enabled = false;
+  spec.params = params;
+  core::ShinjukuServer server(sim, network, spec);
 
   net::DatagramAddress address;
   address.src_mac = net::MacAddress::from_index(1);

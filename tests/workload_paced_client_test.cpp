@@ -15,13 +15,13 @@ struct PacedFixture : ::testing::Test {
         network(sim, params.switch_forward_latency) {}
 
   core::NicSchedServer& make_server(std::size_t workers) {
-    core::NicSchedServer::Config config;
-    config.transport = core::NicSchedServer::Transport::kCxl;
-    config.worker_count = workers;
-    config.outstanding_per_worker = 2;
-    config.preemption_enabled = false;
-    server = std::make_unique<core::NicSchedServer>(sim, network, params,
-                                                    config);
+    core::HostSpec spec;
+    spec.system = core::SystemKind::kIdealNic;
+    spec.worker_count = workers;
+    spec.outstanding_per_worker = 2;
+    spec.preemption_enabled = false;
+    spec.params = params;
+    server = std::make_unique<core::NicSchedServer>(sim, network, spec);
     return *server;
   }
 
