@@ -249,26 +249,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const sim::TimePoint run_end = measure_end + config.drain;
 
   // Install the fault schedule, if any: explicit config wins, otherwise the
-  // NICSCHED_FAULT_* environment contract. Servers without a fault surface
-  // silently run fault-free (there is nothing to inject against). A classic
-  // (worker/loss-only) schedule keeps the legacy injector against host 0 —
-  // the rest of the rack stays healthy, which is exactly the asymmetry the
-  // ToR must steer around — bit for bit with pre-§16 builds. A host-scoped
-  // schedule routes through the cluster's rack-wide fault surface instead,
-  // with the run end as the horizon so actions that could never fire are
-  // warned about rather than silently dropped.
+  // NICSCHED_FAULT_* environment contract. The cluster's rack-wide fault
+  // surface routes each action to its host's surface and shard; a classic
+  // (worker/loss-only) schedule addresses host 0 alone — the rest of the
+  // rack stays healthy, which is exactly the asymmetry the ToR must steer
+  // around. The run end is the horizon, so actions that could never fire
+  // are warned about rather than silently dropped.
   std::optional<fault::FaultSchedule> fault_schedule = config.fault;
   if (!fault_schedule) fault_schedule = fault::FaultSchedule::from_env();
   std::optional<fault::FaultInjector> fault_injector;
-  std::optional<fault::ClusterFaultInjector> cluster_injector;
   if (fault_schedule && !fault_schedule->empty()) {
-    if (fault_schedule->host_scoped()) {
-      cluster_injector.emplace(cluster, *fault_schedule, run_end);
-    } else if (fault::FaultSurface* surface = cluster.server(0).fault_surface()) {
-      // The injector's events must fire on the shard host 0 lives on (its
-      // timers race the host's own events, not shard 0's).
-      fault_injector.emplace(cluster.host_sim(0), *surface, *fault_schedule);
-    }
+    fault_injector.emplace(cluster, *fault_schedule, run_end);
   }
 
   // Seeded chaos rides alongside any explicit schedule through its own
@@ -282,7 +273,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     options.seed = EnvSpec::u64("NICSCHED_CHAOS_SEED", 1);
     chaos = options;
   }
-  std::optional<fault::ClusterFaultInjector> chaos_injector;
+  std::optional<fault::FaultInjector> chaos_injector;
   if (chaos) {
     chaos->host_count =
         static_cast<std::uint32_t>(rack_mode ? config.rack->hosts : 1);

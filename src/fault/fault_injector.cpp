@@ -43,69 +43,6 @@ void check_worker_range(std::uint32_t worker, std::uint32_t count,
                worker, count);
 }
 
-}  // namespace
-
-FaultInjector::FaultInjector(sim::Simulator& sim, FaultSurface& surface,
-                             FaultSchedule schedule,
-                             std::optional<sim::TimePoint> horizon)
-    : schedule_(std::move(schedule)) {
-  FaultSurface* s = &surface;
-  bool warned_horizon = false;
-  bool warned_worker = false;
-
-  std::uint64_t salt = 0;
-  for (const LossWindow& w : schedule_.ingress_loss_windows()) {
-    const std::uint64_t seed = mix_seed(schedule_.seed(), salt++);
-    if (!within_horizon(w.start, horizon, warned_horizon)) continue;
-    const double p = w.probability;
-    sim.at(w.start, [s, p, seed]() { s->inject_ingress_loss(p, seed); });
-    sim.at(w.end, [s]() { s->inject_ingress_loss(0.0, 0); });
-  }
-  for (const LossWindow& w : schedule_.dispatch_loss_windows()) {
-    const std::uint64_t seed = mix_seed(schedule_.seed(), salt++);
-    if (!within_horizon(w.start, horizon, warned_horizon)) continue;
-    const double p = w.probability;
-    sim.at(w.start, [s, p, seed]() { s->inject_dispatch_loss(p, seed); });
-    sim.at(w.end, [s]() { s->inject_dispatch_loss(0.0, 0); });
-  }
-  for (const DegradeWindow& w : schedule_.degrade_windows()) {
-    if (!within_horizon(w.start, horizon, warned_horizon)) continue;
-    const double factor = w.factor;
-    sim.at(w.start, [s, factor]() { s->inject_ingress_degrade(factor); });
-    sim.at(w.end, [s]() { s->inject_ingress_degrade(1.0); });
-  }
-  for (const WorkerAction& action : schedule_.worker_actions()) {
-    if (!within_horizon(action.at, horizon, warned_horizon)) continue;
-    check_worker_range(action.worker, surface.fault_worker_count(),
-                       warned_worker);
-    const std::uint32_t worker = action.worker;
-    switch (action.kind) {
-      case WorkerActionKind::kStall: {
-        const sim::Duration duration = action.duration;
-        sim.at(action.at, [s, worker, duration]() {
-          if (s->fault_worker_count() == 0) return;
-          s->inject_worker_stall(worker % s->fault_worker_count(), duration);
-        });
-        break;
-      }
-      case WorkerActionKind::kCrash:
-        sim.at(action.at, [s, worker]() {
-          if (s->fault_worker_count() == 0) return;
-          s->inject_worker_crash(worker % s->fault_worker_count());
-        });
-        break;
-      case WorkerActionKind::kResume:
-        sim.at(action.at, [s, worker]() {
-          if (s->fault_worker_count() == 0) return;
-          s->inject_worker_resume(worker % s->fault_worker_count());
-        });
-        break;
-    }
-  }
-}
-
-namespace {
-
 /// Refcounted apply/restore so overlapping windows compose: the fault is
 /// applied on the 0→1 transition and lifted on 1→0; unmatched restores
 /// (a recover without a crash) are ignored rather than driving the depth
@@ -123,7 +60,7 @@ void transition(std::vector<int>& depth, std::uint32_t host, bool on,
 
 }  // namespace
 
-ClusterFaultInjector::ClusterFaultInjector(ClusterFaultSurface& cluster,
+FaultInjector::FaultInjector(ClusterFaultSurface& cluster,
                                            FaultSchedule schedule,
                                            std::optional<sim::TimePoint> horizon)
     : schedule_(std::move(schedule)), state_(std::make_shared<State>()) {

@@ -1,28 +1,26 @@
-// FaultInjector: turns a FaultSchedule value into simulator events against a
-// server's FaultSurface.
+// FaultInjector: turns a FaultSchedule value into simulator events
+// against a ClusterFaultSurface — the one injector, for a single server and
+// for a rack.
 //
-// Construction schedules everything up front: a loss/degrade window becomes
-// two events (apply at `start`, restore at `end`), a worker action becomes
-// one. Each loss window derives its own RNG seed from the schedule seed and
-// the window's index, so retiming one window never reshuffles another's drop
-// pattern. After construction the injector holds no state the events need —
-// the closures capture the surface pointer and plain values — but keeping it
-// alive alongside the run is the normal pattern.
+// Construction schedules everything up front: a loss/degrade/partition
+// window becomes two events (apply at `start`, restore at `end`), a worker
+// or host action becomes one. Each event is placed on the simulator whose
+// shard owns its injection point (host faults on the host's shard, downlink
+// faults on the rack shard); classic per-server kinds go to the addressed
+// host's own FaultSurface (host 0 unless the schedule names another). Each
+// loss window derives its own RNG seed from the schedule seed and the
+// window's index, so retiming one window never reshuffles another's drop
+// pattern.
 //
-// Both injectors take an optional `horizon` (the planned end of the run):
-// actions scheduled at or past it could never fire, so they are dropped with
-// a one-line warning instead of riding along silently — the same inert-input
-// policy the FaultSchedule builders apply (DESIGN §16). Worker ids at or
-// past the surface's worker count still wrap modulo (the documented
-// contract) but now warn once per injector.
+// An optional `horizon` (the planned end of the run) drops actions
+// scheduled at or past it — they could never fire — with a one-line
+// warning, the same inert-input policy the FaultSchedule builders apply
+// (DESIGN §16). Worker and host ids past the surface's counts wrap modulo
+// (the documented contract) but warn once per injector.
 //
-// ClusterFaultInjector is the rack-scale variant: it fans a host-scoped
-// schedule out across a ClusterFaultSurface, scheduling each event on the
-// simulator whose shard owns the injection point (host faults on the host's
-// shard, downlink faults on the rack shard). Overlapping windows are
-// refcounted per host and direction so a short partition ending inside a
-// longer crash cannot un-silence the crashed host. Unlike FaultInjector, the
-// partition refcounts live behind a shared_ptr captured by the events, so
+// Overlapping windows are refcounted per host and direction so a short
+// partition ending inside a longer crash cannot un-silence the crashed
+// host. The refcounts live behind a shared_ptr captured by the events, so
 // the injector itself may be destroyed before the run finishes.
 #pragma once
 
@@ -38,32 +36,15 @@ namespace nicsched::fault {
 
 class FaultInjector {
  public:
-  /// Schedules every action in `schedule` against `surface`. The surface
-  /// must outlive the simulation run.
-  FaultInjector(sim::Simulator& sim, FaultSurface& surface,
-                FaultSchedule schedule,
-                std::optional<sim::TimePoint> horizon = std::nullopt);
-
-  FaultInjector(const FaultInjector&) = delete;
-  FaultInjector& operator=(const FaultInjector&) = delete;
-
-  const FaultSchedule& schedule() const { return schedule_; }
-
- private:
-  FaultSchedule schedule_;
-};
-
-class ClusterFaultInjector {
- public:
   /// Schedules every action in `schedule` across `cluster`'s hosts. Host
   /// indices wrap modulo fault_host_count(). Must be constructed before the
   /// run starts (events are placed on per-shard simulators while the
   /// engine is still single-threaded).
-  ClusterFaultInjector(ClusterFaultSurface& cluster, FaultSchedule schedule,
+  FaultInjector(ClusterFaultSurface& cluster, FaultSchedule schedule,
                        std::optional<sim::TimePoint> horizon = std::nullopt);
 
-  ClusterFaultInjector(const ClusterFaultInjector&) = delete;
-  ClusterFaultInjector& operator=(const ClusterFaultInjector&) = delete;
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
 
   const FaultSchedule& schedule() const { return schedule_; }
 

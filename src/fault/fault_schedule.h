@@ -7,10 +7,10 @@
 // explicitly (tests scripting one precise failure), pseudo-randomly from a
 // seed (`randomized` and `make_chaos_schedule`, the conservation/replay and
 // chaos tiers' fuzzing substrates), or from NICSCHED_FAULT_* environment
-// knobs (`from_env`, for benches). The FaultInjector (single surface) or
-// ClusterFaultInjector (per-host surfaces) turns the value into simulator
-// events; the schedule itself holds no simulator state, so the same value
-// can drive any number of runs and always produces the same faults.
+// knobs (`from_env`, for benches). The FaultInjector turns the value into
+// simulator events; the schedule itself holds no simulator state, so the
+// same value can drive any number of runs and always produces the same
+// faults.
 //
 // Builders reject silently-inert inputs (zero-length windows, non-positive
 // probabilities, factors that would not degrade): the window is dropped with
@@ -196,8 +196,7 @@ class FaultSchedule {
   }
 
   /// True when any entry targets a host other than 0 or uses the host-level
-  /// fault kinds — the experiment layer then injects through the rack-aware
-  /// ClusterFaultInjector instead of the classic host-0 FaultInjector.
+  /// fault kinds.
   bool host_scoped() const;
 
   /// A deterministic pseudo-random schedule over [start, end): a few ingress

@@ -44,8 +44,8 @@ struct Outcome {
   core::ServerTelemetry telemetry;
 };
 
-/// Builds network + server + one client, installs `schedule` against the
-/// server's fault surface, issues load until `issue_until`, and runs the
+/// Builds network + server + one client, installs `schedule` through the
+/// cluster's fault surface, issues load until `issue_until`, and runs the
 /// sim to `run_until` (run_until, not run(): a crashed worker's retransmit
 /// or slice-check timers may legitimately re-arm forever).
 Outcome run_faulted(const core::ExperimentConfig& config,
@@ -72,10 +72,8 @@ Outcome run_faulted(const core::ExperimentConfig& config,
       std::make_unique<workload::PoissonArrivals>(config.offered_rps),
       sim::Rng(client_seed));
 
-  std::optional<fault::FaultInjector> injector;
-  fault::FaultSurface* surface = server->fault_surface();
-  EXPECT_NE(surface, nullptr) << server->name();
-  if (surface) injector.emplace(sim, *surface, schedule);
+  EXPECT_NE(server->fault_surface(), nullptr) << server->name();
+  fault::FaultInjector injector(cluster, schedule);
 
   client.start(issue_until);
   sim.run_until(run_until);
