@@ -1,9 +1,9 @@
 // nicsched_cli — run any experiment the library supports from the command
 // line, without writing C++.
 //
-//   $ ./nicsched_cli --system=shinjuku-offload --workers=4 --k=4 \
+//   $ ./nicsched_cli --system=shinjuku-offload --workers=4 --k=4
 //         --dist=bimodal:5us,100us,0.005 --slice=10us --load=300
-//   $ ./nicsched_cli --system=shinjuku --workers=15 --dist=fixed:1us \
+//   $ ./nicsched_cli --system=shinjuku --workers=15 --dist=fixed:1us
 //         --no-preemption --sweep=250:4250:9
 //   $ ./nicsched_cli --system=ideal-nic --dist=exp:10us --load=500 --csv
 //

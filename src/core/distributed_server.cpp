@@ -161,8 +161,8 @@ class DistributedServer::Worker {
         ++tenant_stats_[server_.spec_.tenant.index_of(request->tenant)]
               .dispatched;
       }
-      const proto::RequestDescriptor descriptor =
-          make_descriptor(*request, *datagram);
+      current_ = make_descriptor(*request, *datagram);
+      const proto::RequestDescriptor& descriptor = current_;
       sim::Simulator& sim = server_.sim_;
       if (sim.span_enabled()) {
         // Run-to-completion: no dispatcher, so the request goes straight
@@ -175,7 +175,7 @@ class DistributedServer::Worker {
       core_.run_preemptible(
           sim::Duration::picos(
               static_cast<std::int64_t>(descriptor.remaining_ps)),
-          [this, descriptor]() { on_complete(descriptor); });
+          [this]() { on_complete(); });
     });
   }
 
@@ -254,16 +254,16 @@ class DistributedServer::Worker {
     return packet;
   }
 
-  void on_complete(proto::RequestDescriptor descriptor) {
+  void on_complete() {
     sim::Simulator& sim = server_.sim_;
     if (sim.span_enabled()) {
       const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(sim, descriptor.request_id, obs::SpanKind::kService,
-                    lane);
-      obs::begin_span(sim, descriptor.request_id, obs::SpanKind::kResponse,
+      obs::end_span(sim, current_.request_id, obs::SpanKind::kService, lane);
+      obs::begin_span(sim, current_.request_id, obs::SpanKind::kResponse,
                       lane);
     }
-    core_.run(server_.spec_.params.response_build_cost, [this, descriptor]() {
+    core_.run(server_.spec_.params.response_build_cost, [this]() {
+      const proto::RequestDescriptor& descriptor = current_;
       net::DatagramAddress address;
       address.src_mac = server_.pf_->mac();
       address.dst_mac = descriptor.client_mac;
@@ -301,6 +301,10 @@ class DistributedServer::Worker {
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t shed_ = 0;
+  /// The request in service, from parse to response. Run-to-completion
+  /// serves one at a time, so it parks here and each op captures only
+  /// `this`: a captured descriptor would spill out of SmallFn.
+  proto::RequestDescriptor current_;
   /// Ring wait of the request currently in service (load-feedback echo).
   sim::Duration current_sojourn_;
   hw::DdioStats ddio_;

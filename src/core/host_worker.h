@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "core/model_params.h"
@@ -30,6 +29,7 @@
 #include "hw/interrupt.h"
 #include "net/nic.h"
 #include "proto/messages.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace nicsched::core {
@@ -109,7 +109,7 @@ class HostWorker {
   /// The request being started, run, or answered/handed back; the core
   /// serializes these phases, so continuations capture only `this`.
   proto::RequestDescriptor current_;
-  std::deque<sim::Duration> pending_sojourns_;
+  sim::Ring<sim::Duration> pending_sojourns_;
   sim::Duration current_sojourn_;
   std::uint64_t preemptions_ = 0;
   std::uint64_t responses_sent_ = 0;

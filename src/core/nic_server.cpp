@@ -1,12 +1,12 @@
 #include "core/nic_server.h"
 
 #include <cstdio>
-#include <deque>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
+#include "core/seq_bitmap.h"
 #include "obs/span.h"
+#include "sim/ring.h"
 
 namespace nicsched::core {
 
@@ -127,7 +127,7 @@ class NicSchedServer::Worker final : public HostWorker {
         ++server_.malformed_;
         continue;
       }
-      if (server_.reliable() && !seen_seqs_.insert(entry->seq).second) {
+      if (server_.reliable() && !seen_seqs_.insert(entry->seq)) {
         // A re-posted write for an entry already picked up: the RTO fired
         // while this worker was stalled. Suppress the duplicate.
         ++server_.reliable_.stats().duplicates;
@@ -168,8 +168,8 @@ class NicSchedServer::Worker final : public HostWorker {
   NicSchedServer& server_;
   std::size_t id_;
   net::RdmaQueuePair rq_;
-  std::deque<sim::TimePoint> arrivals_;
-  std::unordered_set<std::uint64_t> seen_seqs_;
+  sim::Ring<sim::TimePoint> arrivals_;
+  SeqBitmap seen_seqs_;
   std::uint64_t current_seq_ = 0;
   sim::Duration current_local_sojourn_;  // run-queue wait (adaptive-K input)
 };

@@ -1,11 +1,12 @@
 #include "core/offload_server.h"
 
+#include <memory_resource>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/span.h"
+#include "sim/arena.h"
 
 namespace nicsched::core {
 
@@ -151,7 +152,7 @@ class ShinjukuOffloadServer::Worker {
       auto& scratch = proto::serialization_scratch();
       ack.serialize_into(proto::MessageType::kDispatchAck, scratch);
       vf_.transmit(net::make_udp_datagram(dispatcher_address(), scratch));
-      if (!seen_assign_seqs_.insert(assignment->seq).second) {
+      if (!seen_assign_seqs_.insert(assignment->seq)) {
         ++server_.reliable_.stats().duplicates;
         start_next();
         return;
@@ -162,18 +163,19 @@ class ShinjukuOffloadServer::Worker {
     start_next();
   }
 
-  void begin_assignment(proto::RequestDescriptor descriptor) {
-    if (descriptor.preempt_count > 0) {
+  void begin_assignment(const proto::RequestDescriptor& descriptor) {
+    parked_ = descriptor;
+    if (parked_.preempt_count > 0) {
       // Resuming a previously preempted request: restore its context
       // (stack + registers) from host DRAM.
       core_.run(server_.spec_.params.context_restore_cost,
-                [this, descriptor]() { execute(descriptor); });
+                [this]() { execute(parked_); });
     } else {
-      execute(descriptor);
+      execute(parked_);
     }
   }
 
-  void execute(proto::RequestDescriptor descriptor) {
+  void execute(const proto::RequestDescriptor& descriptor) {
     server_.sim_.trace(sim::TraceCategory::kWorker, [&] {
       return std::pair{"worker" + std::to_string(id_),
                        "start " + std::to_string(descriptor.request_id)};
@@ -208,12 +210,13 @@ class ShinjukuOffloadServer::Worker {
       obs::begin_span(server_.sim_, current_->request_id,
                       obs::SpanKind::kResponse, lane);
     }
-    proto::RequestDescriptor descriptor = *current_;
+    parked_ = *current_;
     current_.reset();
 
     // Respond to the client directly, then notify the dispatcher (§3.4
     // step 5); both are frames built and sent by this worker.
-    core_.run(server_.spec_.params.response_build_cost, [this, descriptor]() {
+    core_.run(server_.spec_.params.response_build_cost, [this]() {
+      const proto::RequestDescriptor& descriptor = parked_;
       net::DatagramAddress address;
       address.src_mac = vf_.mac();
       address.dst_mac = descriptor.client_mac;
@@ -234,12 +237,12 @@ class ShinjukuOffloadServer::Worker {
       vf_.transmit(net::make_udp_datagram(address, scratch));
       ++responses_sent_;
 
-      core_.run(server_.spec_.params.packet_build_cost, [this, descriptor]() {
+      core_.run(server_.spec_.params.packet_build_cost, [this]() {
         if (server_.reliable()) {
-          send_note(false, descriptor);
+          send_note(false, parked_);
         } else {
           proto::CompletionMessage completion;
-          completion.request_id = descriptor.request_id;
+          completion.request_id = parked_.request_id;
           completion.worker_id = static_cast<std::uint32_t>(id_);
           if (sojourn_sampling()) {
             completion.has_sojourn = true;
@@ -270,18 +273,18 @@ class ShinjukuOffloadServer::Worker {
       obs::begin_span(server_.sim_, current_->request_id,
                       obs::SpanKind::kRequeue, lane);
     }
-    proto::RequestDescriptor descriptor = *current_;
+    parked_ = *current_;
     current_.reset();
-    descriptor.remaining_ps =
-        static_cast<std::uint64_t>(remaining.to_picos());
-    descriptor.preempt_count =
-        static_cast<std::uint16_t>(descriptor.preempt_count + 1);
+    parked_.remaining_ps = static_cast<std::uint64_t>(remaining.to_picos());
+    parked_.preempt_count =
+        static_cast<std::uint16_t>(parked_.preempt_count + 1);
 
     // Save the context to host DRAM, then ship the descriptor back to the
     // dispatcher as a preemption notification.
     const sim::Duration cost = server_.spec_.params.context_save_cost +
                                server_.spec_.params.packet_build_cost;
-    core_.run(cost, [this, descriptor]() {
+    core_.run(cost, [this]() {
+      const proto::RequestDescriptor& descriptor = parked_;
       if (server_.reliable()) {
         send_note(true, descriptor);
       } else {
@@ -308,12 +311,19 @@ class ShinjukuOffloadServer::Worker {
           static_cast<std::uint64_t>(current_sojourn_.to_picos());
     }
     PendingNote pending;
-    pending.payload = note.serialize();
+    pending.note = note;
     pending.next_rto = server_.spec_.reliability.rto;
-    vf_.transmit(net::make_udp_datagram(dispatcher_address(), pending.payload));
+    transmit_note(note);
     pending.timer = server_.sim_.after(
         pending.next_rto, [this, seq = note.seq]() { retransmit_note(seq); });
-    pending_notes_.emplace(note.seq, std::move(pending));
+    pending_notes_.emplace(note.seq, pending);
+  }
+
+  /// Sends one copy of a note, serialized into the shared scratch buffer.
+  void transmit_note(const proto::SequencedNote& note) {
+    auto& scratch = proto::serialization_scratch();
+    note.serialize_into(scratch);
+    vf_.transmit(net::make_udp_datagram(dispatcher_address(), scratch));
   }
 
   void retransmit_note(std::uint64_t seq) {
@@ -326,8 +336,7 @@ class ShinjukuOffloadServer::Worker {
       // work, and routing it through the core would violate
       // run_preemptible's idle requirement.
       ++server_.reliable_.stats().note_retransmits;
-      vf_.transmit(
-          net::make_udp_datagram(dispatcher_address(), pending.payload));
+      transmit_note(pending.note);
       sim::Duration next =
           pending.next_rto * server_.spec_.reliability.backoff;
       const sim::Duration cap = server_.spec_.reliability.rto * 8.0;
@@ -367,6 +376,11 @@ class ShinjukuOffloadServer::Worker {
   hw::ApicTimer timer_;
   bool idle_ = true;
   std::optional<proto::RequestDescriptor> current_;
+  /// The descriptor of the op chain in flight on core_ (context restore
+  /// before service; response, note or preemption frames after it). One
+  /// chain runs at a time, so it parks here and each op captures only
+  /// `this`: a captured descriptor would spill out of SmallFn.
+  proto::RequestDescriptor parked_;
   /// Sojourn of the most recently popped frame (see start_next).
   sim::Duration current_sojourn_;
   std::uint64_t preemptions_ = 0;
@@ -374,14 +388,17 @@ class ShinjukuOffloadServer::Worker {
   hw::DdioStats ddio_;
 
   // --- reliable mode only --------------------------------------------------
-  /// An unacked outgoing note, resent until the dispatcher confirms.
+  /// An unacked outgoing note, re-serialized on every resend until the
+  /// dispatcher confirms.
   struct PendingNote {
-    std::vector<std::uint8_t> payload;
+    proto::SequencedNote note;
     sim::Duration next_rto;
     sim::EventHandle timer;
   };
-  std::unordered_set<std::uint64_t> seen_assign_seqs_;
-  std::unordered_map<std::uint64_t, PendingNote> pending_notes_;  // by seq
+  SeqBitmap seen_assign_seqs_;
+  sim::ArenaResource pending_arena_;  // declared before the map it feeds
+  std::pmr::unordered_map<std::uint64_t, PendingNote> pending_notes_{
+      &pending_arena_};  // by seq
   std::uint64_t next_note_seq_ = 1;
 };
 
@@ -481,10 +498,7 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
         *host_nic_.interface_by_mac(net::MacAddress::from_index(
             kWorkerBaseIndex + static_cast<std::uint32_t>(i)))));
   }
-  seen_note_seqs_.reserve(spec_.worker_count);
-  for (std::size_t i = 0; i < spec_.worker_count; ++i) {
-    seen_note_seqs_.emplace_back(&note_arena_);
-  }
+  seen_note_seqs_.resize(spec_.worker_count);
 }
 
 ShinjukuOffloadServer::~ShinjukuOffloadServer() = default;
@@ -735,7 +749,7 @@ void ShinjukuOffloadServer::handle_sequenced_note(std::size_t worker,
   arm_disp_->transmit(net::make_udp_datagram(address, scratch));
 
   reliable_.note_alive(worker);
-  if (!seen_note_seqs_[worker].insert(note.seq).second) {
+  if (!seen_note_seqs_[worker].insert(note.seq)) {
     ++reliable_.stats().duplicates;
     return;
   }

@@ -21,9 +21,7 @@
 #pragma once
 
 #include <memory>
-#include <memory_resource>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "core/central_queue.h"
@@ -31,13 +29,13 @@
 #include "core/host_spec.h"
 #include "core/packet_pump.h"
 #include "core/reliable_dispatch.h"
+#include "core/seq_bitmap.h"
 #include "core/server.h"
 #include "hw/apic_timer.h"
 #include "hw/channel.h"
 #include "hw/cpu_core.h"
 #include "net/ethernet_switch.h"
 #include "net/nic.h"
-#include "sim/arena.h"
 #include "sim/simulator.h"
 
 namespace nicsched::core {
@@ -136,9 +134,8 @@ class ShinjukuOffloadServer final : public FaultableServer {
   // --- reliable dispatch (DESIGN §9; idle when !reliable()) ----------------
   ReliableDispatch reliable_;
   std::uint64_t next_seq_ = 1;  // 0 selects the unreliable legacy frame
-  /// Per-worker dedupe of sequenced notes, pooled like the dispatch table.
-  sim::ArenaResource note_arena_;
-  std::vector<std::pmr::unordered_set<std::uint64_t>> seen_note_seqs_;
+  /// Per-worker dedupe of sequenced notes.
+  std::vector<SeqBitmap> seen_note_seqs_;
 };
 
 }  // namespace nicsched::core

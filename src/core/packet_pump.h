@@ -86,8 +86,12 @@ class ChannelPump {
       active_ = false;
       return;
     }
-    core_.run(cost_, [this, it = std::move(*item)]() mutable {
-      handler_(std::move(it));
+    // One item is in flight at a time (active_ holds until it is handled),
+    // so it parks in a member and the op captures only `this`: a
+    // descriptor-sized item would spill out of SmallFn's inline buffer.
+    current_ = std::move(*item);
+    core_.run(cost_, [this]() {
+      handler_(std::move(current_));
       step();
     });
   }
@@ -97,6 +101,7 @@ class ChannelPump {
   sim::Duration cost_;
   std::function<void(T)> handler_;
   bool active_ = false;
+  T current_{};
 };
 
 }  // namespace nicsched::core

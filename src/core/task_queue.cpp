@@ -53,8 +53,7 @@ std::optional<TaskQueue::Entry> TaskQueue::pop_entry() {
   Entry entry;
   switch (policy_) {
     case QueuePolicy::kFcfs:
-      entry = std::move(fifo_.front());
-      fifo_.pop_front();
+      entry = fifo_.take_front();
       break;
     case QueuePolicy::kSjf: {
       auto it = by_work_.begin();
@@ -63,10 +62,10 @@ std::optional<TaskQueue::Entry> TaskQueue::pop_entry() {
       break;
     }
     case QueuePolicy::kMultiClass: {
+      // Drained classes keep their (empty) ring for the next burst.
       auto it = by_class_.begin();
-      entry = std::move(it->second.front());
-      it->second.pop_front();
-      if (it->second.empty()) by_class_.erase(it);
+      while (it->second.empty()) ++it;
+      entry = it->second.take_front();
       break;
     }
     case QueuePolicy::kBvt: {
@@ -82,15 +81,13 @@ std::optional<TaskQueue::Entry> TaskQueue::pop_entry() {
           best_vt = vt;
         }
       }
-      entry = std::move(best->second.front());
-      best->second.pop_front();
+      entry = best->second.take_front();
       // Charge the work about to run (possibly a preemption slice's worth
       // less on re-entry) against the class, scaled by its weight.
       BvtClass& state = class_state_[best->first];
       state.virtual_time +=
           static_cast<double>(entry.descriptor.remaining_ps) / 1e6 /
           state.weight;
-      if (best->second.empty()) by_class_.erase(best);
       break;
     }
   }

@@ -9,19 +9,19 @@
 // `CpuCore::run` op), and the message becomes visible to the receiver after
 // `visibility_latency`.
 //
-// Storage is a grow-only ring: messages are staged in the ring at send time
-// and a plain counter flips them visible after the latency, so the delivery
-// event captures only `this` (inline in SmallFn) and steady-state traffic
-// never touches the heap — the deque-node churn and per-send closure spill
-// this replaced are regression-tested by tests/sim_alloc_test.
+// Storage is a grow-only `sim::Ring`: messages are staged in the ring at send
+// time and a plain counter flips them visible after the latency, so the
+// delivery event captures only `this` (inline in SmallFn) and steady-state
+// traffic never touches the heap — the deque-node churn and per-send closure
+// spill this replaced are regression-tested by tests/sim_alloc_test.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <utility>
-#include <vector>
 
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -50,8 +50,16 @@ class MessageChannel {
   /// Publishes a message; it becomes poppable after the visibility latency.
   /// Messages share one latency, so ring order == visibility order.
   void send(T message) {
+    send_in_place([&message](T& slot) { slot = std::move(message); });
+  }
+
+  /// Publishes a message that `fill(slot)` writes into the next ring slot,
+  /// which still holds whatever its last occupant left there — so a
+  /// container message can be overwritten in place, reusing its capacity.
+  template <typename Fill>
+  void send_in_place(Fill&& fill) {
     ++stats_.sent;
-    push(std::move(message));
+    fill(ring_.claim_back());
     sim_.after(visibility_latency_, [this]() {
       ++visible_;
       if (on_message_) on_message_();
@@ -59,12 +67,18 @@ class MessageChannel {
   }
 
   std::optional<T> pop() {
-    if (visible_ == 0) return std::nullopt;
+    if (T* message = pop_in_place()) return std::move(*message);
+    return std::nullopt;
+  }
+
+  /// Pops the oldest visible message without moving it out of its slot, or
+  /// returns null. The message stays valid until the next send.
+  T* pop_in_place() {
+    if (visible_ == 0) return nullptr;
     --visible_;
     ++stats_.received;
-    T message = std::move(ring_[head_]);
-    head_ = (head_ + 1) % ring_.size();
-    --staged_;
+    T* message = &ring_.front();
+    ring_.pop_front();
     return message;
   }
 
@@ -74,33 +88,12 @@ class MessageChannel {
   sim::Duration visibility_latency() const { return visibility_latency_; }
 
  private:
-  void push(T message) {
-    if (staged_ == ring_.size()) grow();
-    ring_[tail_] = std::move(message);
-    tail_ = (tail_ + 1) % ring_.size();
-    ++staged_;
-  }
-
-  /// Doubles the ring, unrolling the circular contents into send order. Only
-  /// runs while the occupancy high-water mark is still rising; after that the
-  /// working set is recycled in place.
-  void grow() {
-    std::vector<T> bigger(ring_.empty() ? 16 : ring_.size() * 2);
-    for (std::size_t i = 0; i < staged_; ++i) {
-      bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
-    }
-    ring_ = std::move(bigger);
-    head_ = 0;
-    tail_ = staged_;
-  }
-
   sim::Simulator& sim_;
   sim::Duration visibility_latency_;
-  std::vector<T> ring_;
-  std::size_t head_ = 0;    // oldest staged message
-  std::size_t tail_ = 0;    // next free slot
-  std::size_t staged_ = 0;  // in-flight + visible messages in the ring
-  std::size_t visible_ = 0; // poppable prefix of the staged messages
+  /// Staged messages: in flight, then visible. Messages share one latency,
+  /// so the visible ones are always a prefix.
+  sim::Ring<T> ring_;
+  std::size_t visible_ = 0;  // poppable prefix of the staged messages
   std::function<void()> on_message_;
   Stats stats_;
 };

@@ -15,8 +15,7 @@ void CpuCore::run(sim::Duration cost, sim::EventFn done) {
 void CpuCore::start_next_op() {
   if (queue_.empty() || busy_ || stalled_) return;
   busy_ = true;
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
+  current_ = queue_.take_front();
   const sim::Duration scaled = scale(current_.cost);
   // Completion is scheduled even for zero-cost ops so that `done` never runs
   // re-entrantly inside the caller of run().

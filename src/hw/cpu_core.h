@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <string>
 
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/small_fn.h"
 #include "sim/time.h"
@@ -123,7 +123,7 @@ class CpuCore {
   Stats stats_;
 
   bool busy_ = false;
-  std::deque<Op> queue_;
+  sim::Ring<Op> queue_;
   // The single in-flight op lives here (busy_ guards exclusivity) so its
   // completion event captures only `this` and stays in SmallFn's inline
   // buffer — no per-op allocation.

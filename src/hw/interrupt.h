@@ -11,6 +11,7 @@
 #include <functional>
 
 #include "hw/cpu_core.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace nicsched::hw {
@@ -41,9 +42,19 @@ class InterruptLine {
   std::uint64_t spurious_count() const { return spurious_; }
 
  private:
+  struct InFlight {
+    std::function<void(sim::Duration)> on_delivered;
+    std::function<void()> on_spurious;
+  };
+
+  void land();
+
   sim::Simulator& sim_;
   CpuCore& target_;
   Config config_;
+  /// Sent, not yet landed. Every send shares one latency, so they land in
+  /// FIFO order and the delivery event captures only `this`.
+  sim::Ring<InFlight> in_flight_;
   std::uint64_t delivered_ = 0;
   std::uint64_t spurious_ = 0;
 };

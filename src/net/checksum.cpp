@@ -1,16 +1,33 @@
 #include "net/checksum.h"
 
+#include <bit>
+#include <cstring>
+
 namespace nicsched::net {
 
 void InternetChecksum::add(std::span<const std::uint8_t> data) {
-  std::size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum_ += static_cast<std::uint16_t>((static_cast<std::uint16_t>(data[i]) << 8) |
-                                       data[i + 1]);
+  // Sums big-endian 64-bit words with end-around carry. Since 2^16 ≡ 1
+  // modulo 0xFFFF, a word is congruent to the sum of its four 16-bit
+  // halves, so the folded result equals the RFC 1071 16-bit sum exactly.
+  const std::uint8_t* bytes = data.data();
+  std::size_t size = data.size();
+  std::uint64_t sum = 0;
+  for (; size >= 8; bytes += 8, size -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes, sizeof word);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    sum += word;
+    sum += sum < word ? 1 : 0;  // the carry out of bit 63 wraps to bit 0
   }
-  if (i < data.size()) {
-    sum_ += static_cast<std::uint16_t>(static_cast<std::uint16_t>(data[i]) << 8);
+  // Fold to 33 bits; the 16-bit tail and the running total then have room.
+  sum = (sum & 0xFFFF'FFFF) + (sum >> 32);
+  for (; size >= 2; bytes += 2, size -= 2) {
+    sum += static_cast<std::uint64_t>(bytes[0]) << 8 | bytes[1];
   }
+  if (size == 1) sum += static_cast<std::uint64_t>(bytes[0]) << 8;
+  sum_ += sum;
 }
 
 std::uint16_t InternetChecksum::finish() const {

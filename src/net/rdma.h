@@ -13,9 +13,12 @@
 // (posted-write traversal plus the poller's batching skew) and whose
 // initiator-side occupancy cost (`wqe_post_cost + doorbell_cost`) is
 // returned to the caller to account on whichever core posted the write. It
-// is a `hw::MessageChannel` of byte vectors underneath. Payloads are
-// opaque bytes so the proto-layer codecs (kRdmaRunQueueEntry / kRdmaCqEntry)
-// are exercised on the real dispatch path, not just in unit tests.
+// is a `hw::MessageChannel` of byte vectors underneath whose ring slots are
+// recycled: a post copies the payload into the next slot's vector, reusing
+// its capacity, and a poll hands back a view of the slot, so steady-state
+// traffic allocates nothing. Payloads are opaque bytes so the proto-layer
+// codecs (kRdmaRunQueueEntry / kRdmaCqEntry) are exercised on the real
+// dispatch path, not just in unit tests.
 //
 // Constants live in `core::ModelParams` (`rdma_*`) with the usual
 // [paper]/[derived]/[assumed] annotations; DESIGN §15 carries the argument.
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -66,23 +70,27 @@ class RdmaQueuePair {
     channel_.set_on_message(std::move(on_receive));
   }
 
-  /// Posts one one-sided write. The payload becomes pollable after
-  /// `write_latency + cq_poll_interval`; writes share one latency, so post
-  /// order == visibility order (RDMA ordering within a QP). Returns the
-  /// initiator-side occupancy cost (WQE build + doorbell) for the caller to
-  /// account on the posting core.
-  sim::Duration post_write(std::vector<std::uint8_t> payload) {
+  /// Posts one one-sided write of a copy of `payload`. The payload becomes
+  /// pollable after `write_latency + cq_poll_interval`; writes share one
+  /// latency, so post order == visibility order (RDMA ordering within a
+  /// QP). Returns the initiator-side occupancy cost (WQE build + doorbell)
+  /// for the caller to account on the posting core.
+  sim::Duration post_write(std::span<const std::uint8_t> payload) {
     ++stats_.writes;
     stats_.bytes += payload.size();
-    channel_.send(std::move(payload));
+    channel_.send_in_place([payload](std::vector<std::uint8_t>& slot) {
+      slot.assign(payload.begin(), payload.end());
+    });
     return config_.wqe_post_cost + config_.doorbell_cost;
   }
 
   /// Pops the next visible payload, or nullopt when nothing is pollable yet.
-  std::optional<std::vector<std::uint8_t>> poll() {
-    auto payload = channel_.pop();
-    if (payload) ++stats_.delivered;
-    return payload;
+  /// The view stays valid until the next post_write.
+  std::optional<std::span<const std::uint8_t>> poll() {
+    const std::vector<std::uint8_t>* payload = channel_.pop_in_place();
+    if (payload == nullptr) return std::nullopt;
+    ++stats_.delivered;
+    return std::span<const std::uint8_t>(*payload);
   }
 
   bool empty() const { return channel_.empty(); }

@@ -8,11 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 
 #include "net/packet.h"
+#include "sim/ring.h"
 
 namespace nicsched::net {
 
@@ -48,10 +48,8 @@ class RxRing {
   /// Removes and returns the oldest packet, or nullopt if empty.
   std::optional<Packet> pop() {
     if (ring_.empty()) return std::nullopt;
-    Packet packet = std::move(ring_.front());
-    ring_.pop_front();
     ++stats_.dequeued;
-    return packet;
+    return ring_.take_front();
   }
 
   std::size_t depth() const { return ring_.size(); }
@@ -61,7 +59,7 @@ class RxRing {
 
  private:
   std::size_t capacity_;
-  std::deque<Packet> ring_;
+  sim::Ring<Packet> ring_;
   std::function<void()> on_packet_;
   Stats stats_;
 };

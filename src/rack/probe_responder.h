@@ -58,8 +58,9 @@ class ProbeResponder final : public net::PacketSink {
     address.dst_ip = view->ip.src;
     address.src_port = view->udp.dst_port;
     address.dst_port = view->udp.src_port;
-    reply_sink_.deliver(net::make_udp_datagram(
-        address, ack.serialize(proto::MessageType::kHealthProbeAck)));
+    auto& scratch = proto::serialization_scratch();
+    ack.serialize_into(proto::MessageType::kHealthProbeAck, scratch);
+    reply_sink_.deliver(net::make_udp_datagram(address, scratch));
   }
 
  private:

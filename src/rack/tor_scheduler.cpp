@@ -211,7 +211,7 @@ void TorScheduler::steer(net::Packet packet, const net::UdpDatagramView& view,
     // on, draining already re-pinned entries off any ejected host.)
     target = it->second.host;
     it->second.last_sent = now;
-    affinity_log_.emplace_back(request_id, now);
+    affinity_log_.push_back({request_id, now});
     ++stats_.affinity_hits;
   } else {
     target = pick_host(view.five_tuple());
@@ -228,7 +228,7 @@ void TorScheduler::steer(net::Packet packet, const net::UdpDatagramView& view,
     pinned.last_sent = now;
     const auto entry_it =
         affinity_.emplace(request_id, std::move(pinned)).first;
-    affinity_log_.emplace_back(request_id, now);
+    affinity_log_.push_back({request_id, now});
     HostState& host = *hosts_[target];
     if (host.outstanding == 0) host.outstanding_since = now;
     ++host.outstanding;
@@ -236,7 +236,13 @@ void TorScheduler::steer(net::Packet packet, const net::UdpDatagramView& view,
       ++tenant_row(host.counters.tenants, tenant).outstanding;
     }
     if (dedupe_active()) {
-      auto stored = std::make_unique<StoredRequest>();
+      std::unique_ptr<StoredRequest> stored;
+      if (spare_stored_.empty()) {
+        stored = std::make_unique<StoredRequest>();
+      } else {
+        stored = std::move(spare_stored_.back());
+        spare_stored_.pop_back();
+      }
       stored->src_mac = view.eth.src;
       stored->src_ip = view.ip.src;
       stored->src_port = view.udp.src_port;
@@ -482,8 +488,9 @@ void TorScheduler::send_probe(HostState& host, sim::TimePoint now) {
   address.dst_ip = probe_ip();
   address.src_port = kControlPort;
   address.dst_port = kControlPort;
-  host.downlink->transmit(net::make_udp_datagram(
-      address, probe.serialize(proto::MessageType::kHealthProbe)));
+  auto& scratch = proto::serialization_scratch();
+  probe.serialize_into(proto::MessageType::kHealthProbe, scratch);
+  host.downlink->transmit(net::make_udp_datagram(address, scratch));
   host.probe_outstanding = true;
   host.probe_sent_at = now;
   ++stats_.probes_sent;
@@ -541,7 +548,9 @@ void TorScheduler::send_cancel(HostState& host, std::uint64_t request_id,
   address.dst_ip = host.ip;
   address.src_port = kControlPort;
   address.dst_port = dst_port;
-  host.downlink->transmit(net::make_udp_datagram(address, cancel.serialize()));
+  auto& scratch = proto::serialization_scratch();
+  cancel.serialize_into(scratch);
+  host.downlink->transmit(net::make_udp_datagram(address, scratch));
   ++stats_.cancels_sent;
 }
 
@@ -591,9 +600,15 @@ void TorScheduler::complete(std::uint64_t request_id) {
   if (dedupe_active()) {
     const auto now = sim_.now();
     if (completed_.emplace(request_id, now).second) {
-      completed_log_.emplace_back(request_id, now);
+      completed_log_.push_back({request_id, now});
     }
   }
+  erase_affinity(it);
+}
+
+void TorScheduler::erase_affinity(
+    std::pmr::unordered_map<std::uint64_t, Affinity>::iterator it) {
+  if (it->second.stored) spare_stored_.push_back(std::move(it->second.stored));
   affinity_.erase(it);
 }
 
@@ -716,13 +731,13 @@ void TorScheduler::sweep_affinity(sim::TimePoint now) {
     if (it == affinity_.end()) continue;  // already completed
     if (it->second.last_sent != logged) {
       // Touched since this log entry was written; re-arm at the new time.
-      affinity_log_.emplace_back(request_id, it->second.last_sent);
+      affinity_log_.push_back({request_id, it->second.last_sent});
       continue;
     }
     // Expired without an answer: slots come back but the id is NOT recorded
     // in completed_ — a late response must still be forwarded to the client.
     reclaim_slots(it->second);
-    affinity_.erase(it);
+    erase_affinity(it);
     ++stats_.affinity_expired;
   }
 }

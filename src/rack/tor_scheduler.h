@@ -30,9 +30,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -41,7 +41,9 @@
 #include "net/ethernet_switch.h"
 #include "net/packet.h"
 #include "net/wire.h"
+#include "sim/arena.h"
 #include "sim/random.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace nicsched::rack {
@@ -320,6 +322,7 @@ class TorScheduler : public net::PacketSink {
   /// Everything needed to re-materialize a steered request on another
   /// host's downlink (drain/re-steer and hedge copies). Only populated when
   /// failover or hedging is on, so the default configuration pays nothing.
+  /// Recycled through `spare_stored_`, payload capacity included.
   struct StoredRequest {
     net::MacAddress src_mac;
     net::Ipv4Address src_ip;
@@ -380,6 +383,9 @@ class TorScheduler : public net::PacketSink {
   /// Resolves a request: reclaims slots, records the id for duplicate
   /// suppression (dedupe_active() only), and drops the affinity entry.
   void complete(std::uint64_t request_id);
+  /// Drops an affinity entry, keeping its stored copy for reuse.
+  void erase_affinity(
+      std::pmr::unordered_map<std::uint64_t, Affinity>::iterator it);
   void sweep_affinity(sim::TimePoint now);
   bool dedupe_active() const { return params_.failover || params_.hedge; }
   void sweep_completed(sim::TimePoint now);
@@ -392,18 +398,22 @@ class TorScheduler : public net::PacketSink {
   std::function<double(std::size_t)> oracle_;
   std::uint64_t round_robin_next_ = 0;
 
-  std::unordered_map<std::uint64_t, Affinity> affinity_;
+  /// Pools the per-request nodes of affinity_ and completed_; declared
+  /// before them.
+  sim::ArenaResource arena_;
+  std::pmr::unordered_map<std::uint64_t, Affinity> affinity_{&arena_};
   /// Insertion-ordered (request_id, last_sent) log for lazy TTL sweeps; an
   /// entry whose logged time no longer matches the map is re-validated, not
   /// evicted.
-  std::deque<std::pair<std::uint64_t, sim::TimePoint>> affinity_log_;
+  sim::Ring<std::pair<std::uint64_t, sim::TimePoint>> affinity_log_;
+  std::vector<std::unique_ptr<StoredRequest>> spare_stored_;
 
   /// Recently completed request ids (dedupe_active() only): a response for
   /// one of these is a late duplicate — a thawed host or hedge loser — and
   /// is swallowed instead of reaching the client twice. Swept lazily on the
   /// affinity TTL, mirroring affinity_log_.
-  std::unordered_map<std::uint64_t, sim::TimePoint> completed_;
-  std::deque<std::pair<std::uint64_t, sim::TimePoint>> completed_log_;
+  std::pmr::unordered_map<std::uint64_t, sim::TimePoint> completed_{&arena_};
+  sim::Ring<std::pair<std::uint64_t, sim::TimePoint>> completed_log_;
 
   RackStats stats_;
 };

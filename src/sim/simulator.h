@@ -129,6 +129,10 @@ class Simulator {
   }
 
  private:
+  /// Fires events in place, in order, while the next one is due at or
+  /// before `last` and stop() has not been called. Returns events fired.
+  std::uint64_t fire_through(TimePoint last);
+
   EventQueue queue_;
   TimePoint now_;
   bool stopped_ = false;

@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <unordered_map>
 
 #include "net/ethernet_switch.h"
 #include "net/nic.h"
 #include "overload/overload.h"
+#include "sim/arena.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "workload/arrival.h"
@@ -151,7 +153,9 @@ class ClientMachine {
   std::uint64_t abandoned_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t next_sequence_ = 0;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  /// Pools pending_'s per-request nodes; declared before it.
+  sim::ArenaResource pending_arena_;
+  std::pmr::unordered_map<std::uint64_t, Pending> pending_{&pending_arena_};
   ResponseCallback on_response_;
   std::function<void(sim::TimePoint)> on_issue_;
 };

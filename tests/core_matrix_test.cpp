@@ -48,9 +48,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(QueuePolicy::kFcfs, QueuePolicy::kSjf,
                                          QueuePolicy::kMultiClass,
                                          QueuePolicy::kBvt)),
-    [](const ::testing::TestParamInfo<PolicyMatrixParam>& info) {
-      std::string name = std::string(to_string(std::get<0>(info.param))) +
-                         "_" + to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<PolicyMatrixParam>& param_info) {
+      std::string name =
+          std::string(to_string(std::get<0>(param_info.param))) + "_" +
+          to_string(std::get<1>(param_info.param));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
@@ -75,8 +76,8 @@ INSTANTIATE_TEST_SUITE_P(Placements, PlacementMatrix,
                          ::testing::Values(hw::PlacementPolicy::kDram,
                                            hw::PlacementPolicy::kDdioLlc,
                                            hw::PlacementPolicy::kDdioL1),
-                         [](const auto& info) {
-                           std::string name = hw::to_string(info.param);
+                         [](const auto& param_info) {
+                           std::string name = hw::to_string(param_info.param);
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -81,8 +81,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SystemKind::kWorkStealing, SystemKind::kElasticRss,
                       SystemKind::kIdealNic, SystemKind::kRpcValet,
                       SystemKind::kRain),
-    [](const ::testing::TestParamInfo<SystemKind>& info) {
-      std::string name = to_string(info.param);
+    [](const ::testing::TestParamInfo<SystemKind>& param_info) {
+      std::string name = to_string(param_info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "sim/random.h"
@@ -60,6 +65,51 @@ TEST(InternetChecksum, AddU16AndU32MatchByteFeeds) {
   const std::vector<std::uint8_t> bytes = {0xC0, 0xA8, 0x01, 0x01, 0x12, 0x34};
   by_bytes.add(bytes);
   EXPECT_EQ(by_words.finish(), by_bytes.finish());
+}
+
+/// RFC 1071 done the slow way: 16-bit big-endian words, one at a time, each
+/// range zero-padded at its end when its length is odd.
+std::uint16_t bytewise_checksum(
+    std::initializer_list<std::span<const std::uint8_t>> ranges) {
+  std::uint64_t sum = 0;
+  for (const auto range : ranges) {
+    for (std::size_t i = 0; i < range.size(); i += 2) {
+      const std::uint8_t low = i + 1 < range.size() ? range[i + 1] : 0;
+      sum += static_cast<std::uint64_t>(range[i]) << 8 | low;
+    }
+  }
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xFFFF);
+}
+
+// The word-wise summing must agree with the byte-wise definition on every
+// frame length up to a full Ethernet payload, fed whole or in two pieces
+// split at even and odd points (an odd first piece is padded on its own).
+TEST(InternetChecksum, WordWiseSumMatchesBytewiseReference) {
+  sim::Rng rng(1071);
+  std::vector<std::uint8_t> data(1500);
+  for (auto& byte : data) {
+    byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  // Runs of 0xFF drive the 64-bit accumulator through its end-around carry.
+  std::fill(data.begin() + 600, data.begin() + 900, 0xFF);
+  const std::span<const std::uint8_t> all(data);
+  for (std::size_t length = 0; length <= data.size(); ++length) {
+    const auto message = all.first(length);
+    ASSERT_EQ(internet_checksum(message), bytewise_checksum({message}))
+        << "length " << length;
+    for (const std::size_t split :
+         {std::size_t{1}, length / 2, length / 3, length / 2 + 1,
+          length > 0 ? length - 1 : 0}) {
+      if (split > length) continue;
+      InternetChecksum pieces;
+      pieces.add(message.first(split));
+      pieces.add(message.subspan(split));
+      ASSERT_EQ(pieces.finish(), bytewise_checksum({message.first(split),
+                                                    message.subspan(split)}))
+          << "length " << length << " split " << split;
+    }
+  }
 }
 
 TEST(UdpChecksum, ZeroResultTransmitsAsAllOnes) {

@@ -36,7 +36,8 @@ TEST(RdmaQueuePair, PayloadVisibleAfterTraversalPlusPollSkew) {
   });
 
   const sim::TimePoint posted_at = sim.now();
-  const sim::Duration initiator_cost = qp.post_write({1, 2, 3});
+  const sim::Duration initiator_cost =
+      qp.post_write(std::vector<std::uint8_t>{1, 2, 3});
   EXPECT_EQ(initiator_cost, sim::Duration::nanos(30 + 50))
       << "post_write must return WQE build + doorbell for the caller to "
          "charge on the posting core";
@@ -52,7 +53,8 @@ TEST(RdmaQueuePair, PayloadVisibleAfterTraversalPlusPollSkew) {
   ASSERT_EQ(qp.depth(), 1u);
   const auto payload = qp.poll();
   ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(std::vector<std::uint8_t>(payload->begin(), payload->end()),
+            (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_TRUE(qp.empty());
   EXPECT_FALSE(qp.poll().has_value());
 }
@@ -62,7 +64,9 @@ TEST(RdmaQueuePair, PostOrderIsVisibilityOrder) {
   // the property the rain scheduler's sequencing relies on.
   sim::Simulator sim;
   net::RdmaQueuePair qp(sim, test_config());
-  for (std::uint8_t i = 0; i < 16; ++i) qp.post_write({i});
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    qp.post_write(std::vector<std::uint8_t>{i});
+  }
   sim.run_for(sim::Duration::micros(1));
   ASSERT_EQ(qp.depth(), 16u);
   for (std::uint8_t i = 0; i < 16; ++i) {
@@ -75,8 +79,8 @@ TEST(RdmaQueuePair, PostOrderIsVisibilityOrder) {
 TEST(RdmaQueuePair, StatsCountWritesDeliveriesAndBytes) {
   sim::Simulator sim;
   net::RdmaQueuePair qp(sim, test_config());
-  qp.post_write({1, 2, 3});
-  qp.post_write({4, 5});
+  qp.post_write(std::vector<std::uint8_t>{1, 2, 3});
+  qp.post_write(std::vector<std::uint8_t>{4, 5});
   sim.run_for(sim::Duration::micros(1));
   EXPECT_EQ(qp.stats().writes, 2u);
   EXPECT_EQ(qp.stats().bytes, 5u);
@@ -106,10 +110,10 @@ TEST(RdmaQueuePair, RecycledRingSurvivesSteadyStateTraffic) {
   constexpr std::uint32_t kRounds = 4096;
   for (std::uint32_t i = 0; i < kRounds; ++i) {
     sim.at(sim::TimePoint::origin() + sim::Duration::nanos(10 * i), [&qp, i] {
-      qp.post_write({static_cast<std::uint8_t>(i),
-                     static_cast<std::uint8_t>(i >> 8),
-                     static_cast<std::uint8_t>(i >> 16),
-                     static_cast<std::uint8_t>(i >> 24)});
+      qp.post_write(std::vector<std::uint8_t>{
+          static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8),
+          static_cast<std::uint8_t>(i >> 16),
+          static_cast<std::uint8_t>(i >> 24)});
     });
   }
   sim.run_until(sim::TimePoint::origin() + sim::Duration::millis(1));

@@ -139,8 +139,9 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SpanEndToEnd,
                                          core::SystemKind::kShinjukuOffload,
                                          core::SystemKind::kIdealNic,
                                          core::SystemKind::kRss),
-                         [](const auto& info) {
-                           std::string name = core::to_string(info.param);
+                         [](const auto& param_info) {
+                           std::string name =
+                               core::to_string(param_info.param);
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -6,11 +6,17 @@
 //
 //  * the event hot loop with the common capture (component pointer + id),
 //  * the cancellation-churn loop (guard timer re-armed per event),
-//  * the packet path (make_udp_datagram + parse_udp_datagram round trip).
+//  * the packet path (make_udp_datagram + parse_udp_datagram round trip),
+//  * the per-request queues and channels (CpuCore ops, RX ring, RDMA queue
+//    pair, message channels and their pumps, reliable-dispatch tables).
+//
+// End to end, every family and both benchmark racks must stay below 0.01
+// allocations per request in a steady-state window.
 //
 // This is the enforcement teeth behind the slab event queue, the SmallFn
-// inline buffer, and the packet-buffer pool: a regression that reintroduces
-// a per-event or per-frame allocation fails here, not in a profiler.
+// inline buffer, the packet-buffer pool, sim::Ring and the arenas: a
+// regression that reintroduces a per-event or per-request allocation fails
+// here, not in a profiler.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,15 +25,25 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
 
 #include "core/core_status.h"
+#include "core/packet_pump.h"
 #include "core/reliable_dispatch.h"
+#include "core/testbed.h"
+#include "fault/chaos_schedule.h"
 #include "hw/channel.h"
+#include "hw/cpu_core.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
+#include "net/rdma.h"
+#include "net/rx_ring.h"
 #include "proto/messages.h"
+#include "rack/tor_scheduler.h"
 #include "sim/simulator.h"
 #include "sim/small_fn.h"
+#include "tenant/tenant.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -37,22 +53,28 @@ std::uint64_t allocation_count() {
 }
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The shims stay out of line, so the compiler never pairs a `malloc` it can
+// see with a `free` (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace nicsched {
 namespace {
@@ -172,7 +194,7 @@ TEST(SimAlloc, MessageChannelSteadyStateIsAllocationFree) {
   std::uint64_t received = 0;
   channel.set_on_message([&channel, &received]() {
     while (auto descriptor = channel.pop()) {
-      received += descriptor->request_id != 0 ? 1 : 1;
+      received += descriptor->request_id != 0 ? 1u : 1u;
     }
   });
 
@@ -300,6 +322,118 @@ TEST(SimAlloc, ArenaBackedReliableTablesAreAllocationFree) {
   EXPECT_EQ(dispatch.stats().duplicates, 0u);
 }
 
+// A core's op queue past one std::deque block (a block holds five ops):
+// bursts of 64 queued ops recycle one ring of slots.
+TEST(SimAlloc, CpuCoreOpQueueBurstsAreAllocationFree) {
+  sim::Simulator sim;
+  hw::CpuCore core(sim, hw::CpuCore::Config{});
+  std::uint64_t done = 0;
+  auto burst = [&]() {
+    for (int i = 0; i < 64; ++i) {
+      core.run(sim::Duration::nanos(10), [&done]() { ++done; });
+    }
+    sim.run();
+  };
+  // A burst spans 640 ns, so 500 of them cover one timer-wheel revolution
+  // (see HotEventLoop) while the ring and the event slab reach 64.
+  for (int i = 0; i < 500; ++i) burst();
+
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 500; ++i) burst();
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u) << "queued ops must recycle the ring";
+  EXPECT_EQ(done, 1'000u * 64u);
+}
+
+// An RX ring filled and drained in bursts: a sliding std::deque would free
+// and re-allocate its blocks on every pass.
+TEST(SimAlloc, RxRingPushPopIsAllocationFree) {
+  net::DatagramAddress address;
+  address.src_mac = net::MacAddress::from_index(1);
+  address.dst_mac = net::MacAddress::from_index(2);
+  address.src_ip = net::Ipv4Address(10, 0, 0, 1);
+  address.dst_ip = net::Ipv4Address(10, 0, 0, 2);
+  std::array<std::uint8_t, 64> payload{};
+  net::RxRing ring(1024);
+  std::uint64_t popped = 0;
+  auto burst = [&]() {
+    for (int i = 0; i < 100; ++i) {
+      ring.push(net::make_udp_datagram(address, payload));
+    }
+    while (auto packet = ring.pop()) popped += packet->size() != 0 ? 1u : 0u;
+  };
+  for (int i = 0; i < 4; ++i) burst();  // ring and packet pool warm
+
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 100; ++i) burst();
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u) << "the RX ring must recycle its slots";
+  EXPECT_EQ(popped, 104u * 100u);
+}
+
+// The rain datapath: a post copies the payload into a recycled ring slot
+// (no by-value vector per post) and a poll views the slot in place.
+TEST(SimAlloc, RdmaPostPollRoundTripIsAllocationFree) {
+  sim::Simulator sim;
+  net::RdmaQueuePair qp(sim, net::RdmaQueuePair::Config{});
+  std::uint64_t polled_bytes = 0;
+  qp.set_on_receive([&qp, &polled_bytes]() {
+    while (auto payload = qp.poll()) polled_bytes += payload->size();
+  });
+  proto::RdmaRunQueueEntry entry;
+  entry.descriptor.remaining_ps = 5'000'000;
+  auto& scratch = proto::serialization_scratch();
+  auto post = [&]() {
+    ++entry.seq;
+    entry.serialize_into(scratch);
+    qp.post_write(scratch);
+    sim.run_for(sim::Duration::nanos(200));
+  };
+  // One wheel revolution (see HotEventLoop) warms the ring and the queue.
+  for (int i = 0; i < 2'000; ++i) post();
+
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 10'000; ++i) post();
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u) << "RDMA posts must reuse ring payloads";
+  sim.run();
+  EXPECT_EQ(qp.stats().delivered, 12'000u);
+  EXPECT_EQ(polled_bytes, qp.stats().bytes);
+}
+
+// A poll-loop core draining descriptor-sized items: the in-flight item parks
+// in the pump, so the per-item op captures only the pump and stays inline.
+TEST(SimAlloc, ChannelPumpOfDescriptorsIsAllocationFree) {
+  sim::Simulator sim;
+  hw::CpuCore core(sim, hw::CpuCore::Config{});
+  hw::MessageChannel<proto::RequestDescriptor> channel(
+      sim, sim::Duration::nanos(150));
+  std::uint64_t handled = 0;
+  core::ChannelPump<proto::RequestDescriptor> pump(
+      core, channel, sim::Duration::nanos(100),
+      [&handled](proto::RequestDescriptor descriptor) {
+        handled += descriptor.request_id != 0 ? 1u : 0u;
+      });
+  std::uint64_t next_id = 1;
+  auto send = [&]() {
+    proto::RequestDescriptor descriptor;
+    descriptor.request_id = next_id++;
+    channel.send(descriptor);
+    sim.run_for(sim::Duration::nanos(200));
+  };
+  for (int i = 0; i < 2'000; ++i) send();  // one wheel revolution
+
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 10'000; ++i) send();
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u) << "pumped items must not spill SmallFn";
+  EXPECT_GE(handled, 11'900u);
+}
+
 // Direct checks that the hot capture shapes stay inline in SmallFn.
 TEST(SimAlloc, CommonCapturesStayInline) {
   int dummy = 0;
@@ -313,6 +447,120 @@ TEST(SimAlloc, CommonCapturesStayInline) {
   EXPECT_TRUE(pointer_and_packet.is_inline())
       << "a moved-in Packet must fit the inline buffer";
 }
+
+// ---- end to end --------------------------------------------------------
+
+/// A 4-host power-of-two rack, as in perfbench.
+core::RackConfig rack_of_four(bool failover_and_hedging) {
+  rack::TorParams tor;
+  tor.policy = rack::TorPolicy::kPowerOfTwo;
+  tor.failover = failover_and_hedging;
+  tor.hedge = failover_and_hedging;
+  core::RackConfig rack;
+  rack.tor = tor;
+  return rack;
+}
+
+/// A whole run_experiment configuration shaped like perfbench's workloads:
+/// bimodal 5/100 us service, 2 ms warm-up and drain, and every field that
+/// would otherwise be read from the environment pinned.
+core::ExperimentConfig steady_state_config(const std::string& name,
+                                           sim::Duration measure) {
+  const auto us = [](std::int64_t n) { return sim::Duration::micros(n); };
+  core::ExperimentConfig config;
+  if (name == "rain_rack") {
+    config = core::ExperimentConfig::rain()
+                 .workers(4)
+                 .outstanding(1)
+                 .slice(us(10))
+                 .load(2.0e6)
+                 .with_rack(rack_of_four(false));
+  } else if (name == "offload_chaos_rack") {
+    overload::OverloadParams over;
+    over.enabled = true;
+    over.deadline = us(400);
+    over.retry_budget = 2;
+    over.retry_timeout = us(150);
+    fault::ChaosOptions chaos;
+    chaos.seed = 42 * 131 + 7;
+    config = core::ExperimentConfig::offload()
+                 .workers(2)
+                 .outstanding(2)
+                 .load(300e3)
+                 .clients(4, 16)
+                 .with_rack(rack_of_four(true))
+                 .with_chaos(chaos)
+                 .with_overload(over)
+                 .reliable()
+                 .with_tenants(
+                     {tenant::make_tenant(1).named("lc").weighted(4).slo_class(
+                          tenant::SloClass::kLatencyCritical),
+                      tenant::make_tenant(2).named("be").slo_class(
+                          tenant::SloClass::kBestEffort)});
+  } else {
+    config = core::ExperimentConfig::of(core::from_string(name))
+                 .workers(4)
+                 .slice(us(10))
+                 .load(300e3);
+  }
+  config.bimodal(us(5), us(100), 0.005).measure_for(measure).with_seed(42);
+  config.warmup = sim::Duration::millis(2);
+  config.drain = sim::Duration::millis(2);
+  config.capture = obs::CaptureOptions::disabled_options();
+  config.fault = fault::FaultSchedule{};
+  if (!config.overload) config.overload = overload::OverloadParams{};
+  if (config.tenants.empty()) config.tenants = {tenant::make_tenant(0)};
+  if (!config.reliable_dispatch) config.reliable_dispatch = false;
+  config.feedback_staleness = sim::Duration::zero();
+  config.shards = 1;
+  return config;
+}
+
+class SteadyStateAllocations : public ::testing::TestWithParam<std::string> {};
+
+// Every family on one host, the 4-host p2c rain rack and the reliable,
+// hedged, tenanted offload chaos rack, end to end. The steady-state window is
+// what a run adds when its measurement window grows from 10 to 40 ms (20 to
+// 100 ms for the chaos rack, whose storms need longer to settle): the
+// allocations it adds per request it adds must stay below 0.01. A first run
+// warms the process-wide pools (packet buffers, serialization scratch) that
+// outlive a run.
+TEST_P(SteadyStateAllocations, PerRequestPathIsAllocationFree) {
+  const std::string& name = GetParam();
+  const bool chaos = name == "offload_chaos_rack";
+  const sim::Duration short_window = sim::Duration::millis(chaos ? 20 : 10);
+  const sim::Duration long_window = sim::Duration::millis(chaos ? 100 : 40);
+  const auto run = [&name](sim::Duration window) {
+    const std::uint64_t before = allocation_count();
+    const core::ExperimentResult result =
+        core::run_experiment(steady_state_config(name, window));
+    return std::pair{static_cast<double>(allocation_count() - before),
+                     static_cast<double>(result.clients.sent)};
+  };
+  run(short_window);
+  const auto [short_allocations, short_sent] = run(short_window);
+  const auto [long_allocations, long_sent] = run(long_window);
+  ASSERT_GT(long_sent, short_sent + 1'000.0);
+  const double per_request =
+      (long_allocations - short_allocations) / (long_sent - short_sent);
+  EXPECT_LE(per_request, 0.01)
+      << (long_allocations - short_allocations) << " allocations for "
+      << (long_sent - short_sent) << " requests";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, SteadyStateAllocations,
+    ::testing::Values("shinjuku", "shinjuku-offload", "rss-rtc",
+                      "flow-director", "work-stealing", "elastic-rss",
+                      "ideal-nic", "rpcvalet", "rain", "rain_rack",
+                      "offload_chaos_rack"),
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string label = param_info.param;
+      for (char& c : label) {
+        if (c == '-') c = '_';
+      }
+      return label;
+    });
 
 }  // namespace
 }  // namespace nicsched

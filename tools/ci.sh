@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The repo's one-command CI gate, in three tiers:
 #
-#   1. tier-1: configure, build, full ctest — the bar every change must hold.
-#      It runs every labelled slice (perf, fault, rack, tenant, parallel,
-#      rdma, chaos) at full size, so no label is re-run on its own.
+#   1. tier-1: configure with -Werror (NICSCHED_WERROR=ON), build, full
+#      ctest — the bar every change must hold. It runs every labelled slice
+#      (perf, fault, rack, tenant, parallel, rdma, chaos) at full size, so no
+#      label is re-run on its own.
 #   2. sanitizer pass: the fault + chaos labels under NICSCHED_FAST=1 in a
 #      separate ASan+UBSan build ($BUILD_DIR-asan) — the fault paths tear
 #      down mid-flight state, so they get the sanitizer pass
@@ -22,7 +23,7 @@ BUILD_DIR="${1:-build}"
 # spike.
 
 echo "==> tier-1: configure + build + full test suite"
-cmake -B "$BUILD_DIR" -S .
+cmake -B "$BUILD_DIR" -S . -DNICSCHED_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
