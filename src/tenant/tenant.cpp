@@ -171,10 +171,14 @@ bool TenantDispatchQueue::expired(const proto::RequestDescriptor& descriptor,
              static_cast<std::int64_t>(descriptor.deadline_ps);
 }
 
-bool TenantDispatchQueue::cancelled(
-    const proto::RequestDescriptor& descriptor) const {
-  return !cancelled_ids_.empty() &&
-         cancelled_ids_.count(descriptor.request_id) != 0;
+bool TenantDispatchQueue::consume_cancel(
+    const proto::RequestDescriptor& descriptor) {
+  if (cancelled_ids_.empty() ||
+      !cancelled_ids_.erase(descriptor.request_id)) {
+    return false;
+  }
+  ++cancelled_total_;
+  return true;
 }
 
 void TenantDispatchQueue::shed_expired_front(std::size_t index,
@@ -182,14 +186,10 @@ void TenantDispatchQueue::shed_expired_front(std::size_t index,
   Lane& lane = lanes_[index];
   while (!lane.entries.empty()) {
     const proto::RequestDescriptor& front = lane.entries.front().descriptor;
-    if (cancelled(front)) {
-      cancelled_ids_.erase(front.request_id);
-      ++cancelled_total_;
-    } else if (expired(front, now)) {
+    if (!consume_cancel(front)) {
+      if (!expired(front, now)) break;
       ++stats_[index].overload.shed_expired;
       ++shed_total_;
-    } else {
-      break;
     }
     lane.entries.pop_front();
     --size_;
@@ -219,9 +219,7 @@ std::optional<TenantDispatchQueue::Popped> TenantDispatchQueue::pop(
     while (!fifo_order_.empty()) {
       const std::size_t index = fifo_order_.front();
       Lane& lane = lanes_[index];
-      if (cancelled(lane.entries.front().descriptor)) {
-        cancelled_ids_.erase(lane.entries.front().descriptor.request_id);
-        ++cancelled_total_;
+      if (consume_cancel(lane.entries.front().descriptor)) {
         fifo_order_.pop_front();
         lane.entries.pop_front();
         --size_;

@@ -334,6 +334,24 @@ TEST(CentralQueue, CancelDropsTheRequestAtPop) {
   }
 }
 
+// A cancel that lands while its request is away from the queue (running on
+// a worker) still drops the request when a preemption or re-steer requeues
+// it; the fault-path goldens depend on that.
+TEST(CentralQueue, CancelForAnAbsentIdDropsItsNextPush) {
+  CentralQueue fifo(QueuePolicy::kFcfs, {}, {});
+  CentralQueue lanes(QueuePolicy::kFcfs, {}, two_tenants());
+  for (CentralQueue* queue : {&fifo, &lanes}) {
+    queue->push_new(request(1, 1), at_us(0));
+    EXPECT_EQ(drain(*queue, at_us(1)), (std::vector<std::uint64_t>{1}));
+    queue->cancel(1);
+    queue->push_preempted(request(1, 1), at_us(2));
+    queue->push_new(request(2, 1), at_us(2));
+    EXPECT_EQ(drain(*queue, at_us(3)), (std::vector<std::uint64_t>{2}));
+    queue->push_preempted(request(1, 1), at_us(4));  // the mark is spent
+    EXPECT_EQ(drain(*queue, at_us(5)), (std::vector<std::uint64_t>{1}));
+  }
+}
+
 TEST(CentralQueue, PopMeasuresDelayAndShedsExpiredUnderOverload) {
   overload::OverloadParams overload;
   overload.enabled = true;
